@@ -9,10 +9,10 @@ check_structure decides that, producing either the diameter plus the
 dangler groups or a violation witness.
 
 Internally the graph is contracted: A/B fragments are the nodes and
-each C-element is an edge between its two owners.  Two engines compute
-the same result: a plain breadth-first one for small graphs and an
-array-based one (numpy + scipy) that recognizes the clean caterpillar
-shape directly and falls back to the plain engine on anything else.
+each C-element is an edge between its two owners.  One numpy engine
+screens every graph size: an Euler tour ranked by pointer jumping gives
+connectivity and tree distances for the two-pass diameter, and masks
+give the danglers.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 
 from .instance import LabeledInstance
 
-# Below this many contracted nodes the plain engine wins on overhead.
-_VECTOR_MIN_NODES = 20_000
 
 NOT_CONNECTED = "NOT_CONNECTED"
 HAS_CYCLE = "HAS_CYCLE"
@@ -248,44 +246,151 @@ class StructureVerdict:
         return out
 
 
-# --- plain engine ----------------------------------------------------------
+def check_structure(g: DigestGraph) -> StructureVerdict:
+    """Decide tree-ness and the dangler condition on one diameter.
 
-def _adjacency(g: DigestGraph):
-    p = g.p
-    nn = p + g.q
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nn)]
-    ao = g.a_owners.tolist()
-    bo = g.b_owners.tolist()
-    for k in range(g.n):
-        u = ao[k]
-        w = p + bo[k]
-        adj[u].append((w, k))
-        adj[w].append((u, k))
-    return adj
+    The graph always has one more node than edges, so it is a tree
+    exactly when the Euler-tour walk from node A1 covers every edge.
+    Otherwise the verdict describes A1's component: HAS_CYCLE with a
+    cycle when it holds as many C-edges as nodes, NOT_CONNECTED with the
+    smallest unreached node when it is a tree itself.  On a tree the
+    diameter is found by two farthest-node passes from the smallest
+    leaf, each breaking ties toward the smallest node id, and every
+    C-edge hanging off it must reach a leaf; the smallest one that does
+    not is the DEEP_SUBTREE witness.  O(n log n) array work, with no
+    Python loop over nodes.
+    """
+    p, q, n = g.p, g.q, g.n
+    if n == 1:
+        empty = np.empty(0, np.int64)
+        return StructureVerdict(True, None, g, _TreePayload(
+            True, empty, empty, empty, empty, empty, 0, 0, p, 0))
+    nn = p + q
+    u = g.a_owners
+    w = g.b_owners + p
+    tail = np.concatenate((u, w))
+    head = np.concatenate((w, u))
+    deg = np.bincount(tail, minlength=nn)
+    walk = _face_walk(tail, deg, 0)
+    if len(walk) < 2 * n:
+        return StructureVerdict(False, _off_tree_violation(g, walk, tail, head), g, None)
+
+    # depth along the Euler tour from node 0: a dart steps down unless
+    # its edge was walked before; first[x] is where the tour reaches x
+    walked_at = np.empty(2 * n, np.int64)
+    walked_at[walk] = np.arange(2 * n)
+    down = np.arange(2 * n) < walked_at[(walk + n) % (2 * n)]
+    depth_seq = np.concatenate(([0], np.cumsum(np.where(down, 1, -1))))
+    first = np.zeros(nn, np.int64)
+    first[head[walk[down]]] = np.flatnonzero(down) + 1
+    depth = depth_seq[first]
+
+    def dist_from(x):
+        # the least depth the tour passes between x and y is their lca's
+        f = first[x]
+        low = np.empty_like(depth_seq)
+        low[f:] = np.minimum.accumulate(depth_seq[f:])
+        low[:f + 1] = np.minimum.accumulate(depth_seq[f::-1])[::-1]
+        return depth[x] + depth - 2 * low[first]
+
+    start = int(np.argmax(deg == 1))
+    e1 = int(np.argmax(dist_from(start)))
+    d_e1 = dist_from(e1)
+    e2 = int(np.argmax(d_e1))
+    # the diameter is read from e2; pos[x] is x's distance from e2
+    pos = dist_from(e2)
+    length = int(d_e1[e2])
+    on_diam = pos + d_e1 == length
+    on_u, on_w = on_diam[u], on_diam[w]
+    diam_edges = np.flatnonzero(on_u & on_w)
+    edges = np.empty(length, np.int64)
+    edges[np.minimum(pos[u[diam_edges]], pos[w[diam_edges]])] = diam_edges
+    path = np.empty(length + 1, np.int64)
+    path[pos[on_diam]] = np.flatnonzero(on_diam)
+
+    hanging = np.flatnonzero(on_u ^ on_w)
+    att = np.where(on_u[hanging], u[hanging], w[hanging])
+    leaf = np.where(on_u[hanging], w[hanging], u[hanging])
+    deep = deg[leaf] != 1
+    # the two diameter terminals join the end blocks like any other pendant
+    pend_c = np.concatenate((hanging[~deep], edges[[0, -1]]))
+    pend_pos = np.concatenate((pos[att[~deep]], pos[path[[1, -2]]])) - 1
+    pend_leaf = np.concatenate((leaf[~deep], (e2, e1)))
+    lab = g.labeled
+    by_pos = np.lexsort((lab.copy_ids[pend_c], lab.values[pend_c], pend_pos))
+    payload = _TreePayload(False, path[1:-1], edges[1:-1], pend_c[by_pos],
+                           pend_pos[by_pos], pend_leaf[by_pos],
+                           e2, int(edges[0]), e1, int(edges[-1]))
+    violation = None
+    if deep.any():
+        violation = StructureViolation(DEEP_SUBTREE, (NodeRef("C", int(hanging[deep][0])),))
+    return StructureVerdict(True, violation, g, payload)
 
 
-def _bfs(adj, start, want_cycle=False):
-    nn = len(adj)
-    dist = [-1] * nn
-    par = [-1] * nn
-    pare = [-1] * nn
-    dist[start] = 0
-    order = [start]
-    head = 0
-    cycle = None
-    while head < len(order):
-        u = order[head]
-        head += 1
-        du = dist[u] + 1
-        for w, k in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                par[w] = u
-                pare[w] = k
-                order.append(w)
-            elif want_cycle and cycle is None and k != pare[u] and k != pare[w]:
-                cycle = (u, w, k)
-    return dist, par, pare, order, cycle
+def _face_walk(tail: np.ndarray, deg: np.ndarray, root: int) -> np.ndarray:
+    """Darts, in walk order, of the closed walk that starts with
+    ``root``'s first dart and leaves every node it reaches by the dart
+    that follows, around that node, the reverse of the dart it came by.
+
+    Dart k < n runs along C-edge k from its A-owner to its B-owner, dart
+    n + k back; the darts around a node are ordered cyclically by index.
+    On a tree the walk is an Euler tour: each edge once in each
+    direction.  It is ranked by pointer jumping, in log2(2n) rounds.
+    """
+    m = len(tail)
+    if not deg[root]:
+        return np.empty(0, np.int64)
+    # work on slots: darts sorted by tail, so a node's darts are adjacent
+    by_tail = np.argsort(tail)
+    slot = np.empty(m, np.int64)
+    slot[by_tail] = np.arange(m)
+    offsets = np.concatenate(([0], np.cumsum(deg)))
+    turn = np.arange(1, m + 1)
+    used = deg > 0
+    turn[offsets[1:][used] - 1] = offsets[:-1][used]
+    succ = np.append(turn[slot[(by_tail + m // 2) % m]], m)
+    s0 = offsets[root]
+    del slot, turn, offsets  # peak memory: ranking holds four arrays of this size
+    succ[succ == s0] = m  # cut the walk just before it returns to its first dart
+    rank = np.ones(m + 1, np.int64)
+    rank[m] = 0
+    for _ in range(m.bit_length()):
+        rank += np.take(rank, succ)
+        succ = np.take(succ, succ)
+    walked = np.flatnonzero(succ[:m] == m)
+    length = rank[s0]
+    out = np.empty(length, np.int64)
+    out[length - rank[walked]] = by_tail[walked]
+    return out
+
+
+def _off_tree_violation(g: DigestGraph, walk, tail, head) -> StructureViolation:
+    """Cycle or unreached node, judged on the component of node 0.
+
+    The walk from node 0 covers that component when it is a tree.  When
+    it is not, the walk uses at least as many edges as it reaches nodes:
+    were its edges a tree, it would pass each both ways, so turn through
+    every dart around each node it reaches and cover the component.
+    """
+    p, n, nn = g.p, g.n, g.p + g.q
+    visits = np.concatenate(([0], head[walk]))
+    reached = np.zeros(nn, dtype=bool)
+    reached[visits] = True
+    walked = np.zeros(n, dtype=bool)
+    walked[walk % n] = True
+    if walked.sum() < reached.sum():
+        return StructureViolation(NOT_CONNECTED, (_contracted_ref(p, int(np.argmin(reached))),))
+    # each node's first entry is a tree edge; any other edge walked closes a cycle
+    nodes, first = np.unique(visits, return_index=True)
+    entry = walk[first[1:] - 1]
+    par = np.full(nn, -1, dtype=np.int64)
+    par[nodes[1:]] = tail[entry]
+    pare = np.full(nn, -1, dtype=np.int64)
+    pare[nodes[1:]] = entry % n
+    walked[entry % n] = False
+    k = int(np.argmax(walked))
+    return StructureViolation(HAS_CYCLE, _extract_cycle(
+        g, par.tolist(), pare.tolist(), int(tail[k]), int(head[k]), k))
 
 
 def _extract_cycle(g: DigestGraph, par, pare, u, w, k) -> tuple[NodeRef, ...]:
@@ -313,255 +418,3 @@ def _extract_cycle(g: DigestGraph, par, pare, u, w, k) -> tuple[NodeRef, ...]:
         out.append(_contracted_ref(p, node))
     out.append(NodeRef("C", k))  # the edge closing w back to u
     return tuple(out)
-
-
-def _check_python(g: DigestGraph):
-    """Returns a _TreePayload, a StructureViolation, or a (payload,
-    violation) pair for a tree with a deep subtree."""
-    p, q, n = g.p, g.q, g.n
-    if n == 1:
-        return _TreePayload(True, np.empty(0, np.int64), np.empty(0, np.int64),
-                            np.empty(0, np.int64), np.empty(0, np.int64),
-                            np.empty(0, np.int64), 0, 0, p, 0)
-    nn = p + q
-    adj = _adjacency(g)
-
-    dist0, par0, pare0, order0, cycle = _bfs(adj, 0, want_cycle=True)
-    if cycle is not None:
-        u, w, k = cycle
-        return StructureViolation(HAS_CYCLE, _extract_cycle(g, par0, pare0, u, w, k))
-    if len(order0) < nn:
-        visited = set(order0)
-        missing = min(x for x in range(nn) if x not in visited)
-        return StructureViolation(NOT_CONNECTED, (_contracted_ref(p, missing),))
-
-    # Tree (node count exceeds edge count by one).  Two-pass diameter,
-    # farthest ties broken toward the smallest node id.
-    start = next(u for u in range(nn) if len(adj[u]) == 1)
-    dist1 = _bfs(adj, start)[0]
-    far = max(dist1)
-    e1 = dist1.index(far)
-    dist2, par2, pare2, _, _ = _bfs(adj, e1)
-    far2 = max(dist2)
-    e2 = dist2.index(far2)
-
-    path = [e2]
-    edges = []
-    x = e2
-    while x != e1:
-        edges.append(pare2[x])
-        x = par2[x]
-        path.append(x)
-
-    spine = path[1:-1]
-    pos = {s: i for i, s in enumerate(spine)}
-    on_diam = set(path)
-    diam_edges = set(edges)
-
-    pendants = []
-    deep: list[int] = []
-    for k in range(n):
-        if k in diam_edges:
-            continue
-        u = int(g.a_owners[k])
-        w = p + int(g.b_owners[k])
-        u_on = u in on_diam
-        w_on = w in on_diam
-        if u_on and w_on:
-            raise AssertionError("off-diameter edge between diameter nodes in a tree")
-        if not u_on and not w_on:
-            continue  # deep interior; its subtree root is caught below
-        att, leaf = (u, w) if u_on else (w, u)
-        if len(adj[leaf]) != 1:
-            deep.append(k)
-        else:
-            pendants.append((pos[att], k, leaf))
-
-    complete = len(edges) + len(pendants) == n
-    # the two diameter terminals join the end blocks like any other pendant
-    pendants.append((0, edges[0], e2))
-    pendants.append((len(spine) - 1, edges[-1], e1))
-    payload = _payload_from_parts(g, spine, edges, pendants, e2, e1)
-    if deep:
-        return payload, StructureViolation(DEEP_SUBTREE, (NodeRef("C", min(deep)),))
-    if not complete:
-        raise AssertionError("node accounting failed on a clean tree")
-    return payload
-
-
-def _payload_from_parts(g, spine, edges, pendants, e2, e1):
-    lab = g.labeled
-    pendants.sort(key=lambda t: (t[0], int(lab.values[t[1]]), int(lab.copy_ids[t[1]])))
-    return _TreePayload(
-        False,
-        np.asarray(spine, dtype=np.int64),
-        np.asarray(edges[1:-1], dtype=np.int64),
-        np.asarray([k for _, k, _ in pendants], dtype=np.int64),
-        np.asarray([i for i, _, _ in pendants], dtype=np.int64),
-        np.asarray([leaf for _, _, leaf in pendants], dtype=np.int64),
-        e2, edges[0], e1, edges[-1],
-    )
-
-
-# --- array engine ----------------------------------------------------------
-
-def _check_vector(g: DigestGraph):
-    """Fast accept for clean caterpillars; None means fall back."""
-    from scipy.sparse import csgraph, csr_matrix
-
-    p, q, n = g.p, g.q, g.n
-    ao = g.a_owners
-    bo = g.b_owners
-    deg_a = np.bincount(ao, minlength=p)
-    deg_b = np.bincount(bo, minlength=q)
-    leaf_a = deg_a == 1
-    leaf_b = deg_b == 1
-    a_leaf_side = leaf_a[ao]
-    b_leaf_side = leaf_b[bo]
-    pend_mask = a_leaf_side ^ b_leaf_side
-    link_mask = ~(a_leaf_side | b_leaf_side)
-    if int(pend_mask.sum()) + int(link_mask.sum()) != n:
-        return None  # some C joins two leaves: not a clean caterpillar
-
-    spine_a = ~leaf_a
-    spine_b = ~leaf_b
-    n_spine = int(spine_a.sum()) + int(spine_b.sum())
-    pend_idx = np.flatnonzero(pend_mask)
-    pend_att = np.where(a_leaf_side[pend_idx], bo[pend_idx] + p, ao[pend_idx])
-    pend_leaf = np.where(a_leaf_side[pend_idx], ao[pend_idx], bo[pend_idx] + p)
-
-    links = np.flatnonzero(link_mask)
-    m = len(links)
-    if n_spine == 0:
-        return None
-    if m != n_spine - 1:
-        return None
-
-    if m == 0:
-        order = np.flatnonzero(np.concatenate((spine_a, spine_b)))
-        if len(order) != 1 or not (pend_att == order[0]).all():
-            return None
-        spine_nodes = order
-    else:
-        lu = ao[links]
-        lw = bo[links] + p
-        sdeg = np.bincount(lu, minlength=p + q) + np.bincount(lw, minlength=p + q)
-        spine_mask = np.concatenate((spine_a, spine_b))
-        if (sdeg[~spine_mask] != 0).any():
-            return None
-        sd = sdeg[spine_mask]
-        ends = np.flatnonzero(np.concatenate((spine_a, spine_b)))[sd == 1]
-        if len(ends) != 2 or sd.max() > 2 or (sd == 0).any():
-            return None
-        rows = np.concatenate((lu, lw))
-        cols = np.concatenate((lw, lu))
-        mat = csr_matrix((np.ones(2 * m, dtype=np.int8), (rows, cols)),
-                         shape=(p + q, p + q))
-        spine_nodes = csgraph.breadth_first_order(mat, int(ends.min()),
-                                                  directed=False,
-                                                  return_predecessors=False)
-        if len(spine_nodes) != n_spine:
-            return None
-        spine_nodes = spine_nodes.astype(np.int64)
-
-    npos = np.full(p + q, -1, dtype=np.int64)
-    npos[spine_nodes] = np.arange(n_spine)
-    if (npos[pend_att] < 0).any():
-        return None
-    # links must step between consecutive positions exactly once each
-    if m:
-        lo = np.minimum(npos[ao[links]], npos[bo[links] + p])
-        hi = np.maximum(npos[ao[links]], npos[bo[links] + p])
-        if (hi - lo != 1).any():
-            return None
-        link_order = np.argsort(lo, kind="stable")
-        if not np.array_equal(lo[link_order], np.arange(m)):
-            return None
-        links = links[link_order]
-
-    pend_pos = npos[pend_att]
-    lab = g.labeled
-    sorter = np.lexsort((lab.copy_ids[pend_idx], lab.values[pend_idx], pend_pos))
-    pend_idx = pend_idx[sorter]
-    pend_pos = pend_pos[sorter]
-    pend_leaf = pend_leaf[sorter]
-
-    # Two-pass endpoint choice, replicated positionally: the search from
-    # the smallest leaf reaches a far-end pendant leaf first (e1), the
-    # second pass lands on the opposite end (e2); listing runs e2 -> e1.
-    mlast = n_spine - 1
-    lstar_i = int(np.argmin(pend_leaf))
-    jstar = int(pend_pos[lstar_i])
-    lstar = int(pend_leaf[lstar_i])
-
-    def min_leaf_at(posn, exclude=-1):
-        cand = pend_leaf[(pend_pos == posn) & (pend_leaf != exclude)]
-        return int(cand.min()) if len(cand) else None
-
-    if mlast == 0:
-        e1 = min_leaf_at(0, exclude=lstar)
-        if e1 is None:
-            return None
-        e2 = min_leaf_at(0, exclude=e1)
-        if e2 is None:
-            return None
-        j1 = j2 = 0
-    else:
-        d_left = jstar + 2
-        d_right = (mlast - jstar) + 2
-        if d_left > d_right:
-            cands = [min_leaf_at(0, exclude=lstar)]
-        elif d_right > d_left:
-            cands = [min_leaf_at(mlast, exclude=lstar)]
-        else:
-            cands = [min_leaf_at(0, exclude=lstar), min_leaf_at(mlast, exclude=lstar)]
-        cands = [c for c in cands if c is not None]
-        if not cands:
-            return None
-        e1 = min(cands)
-        j1 = 0 if (pend_leaf[pend_pos == 0] == e1).any() else mlast
-        j2 = mlast - j1
-        e2 = min_leaf_at(j2, exclude=e1)
-        if e2 is None:
-            return None
-
-    if mlast > 0 and j2 != 0:
-        # flip so the listing starts at e2's end
-        spine_nodes = spine_nodes[::-1].copy()
-        links = links[::-1].copy()
-        pend_pos = mlast - pend_pos
-        sorter = np.lexsort((lab.copy_ids[pend_idx], lab.values[pend_idx], pend_pos))
-        pend_idx = pend_idx[sorter]
-        pend_pos = pend_pos[sorter]
-        pend_leaf = pend_leaf[sorter]
-
-    start_c = int(pend_idx[pend_leaf == e2][0])
-    end_c = int(pend_idx[pend_leaf == e1][0])
-    return _TreePayload(False, spine_nodes, links, pend_idx, pend_pos, pend_leaf,
-                        int(e2), start_c, int(e1), end_c)
-
-
-def check_structure(g: DigestGraph, *, engine: str = "auto") -> StructureVerdict:
-    """Decide tree-ness and the dangler condition on one diameter.
-
-    The graph always has one more node than edges, so a single
-    connectivity argument separates trees from everything else; on
-    trees, every subtree hanging off the diameter must be a dangler.
-    Engines: "auto" picks by size, "plain" and "vector" force one.
-    """
-    if engine not in ("auto", "plain", "vector"):
-        raise ValueError(f"unknown engine {engine!r}")
-    result = None
-    if engine == "vector" or (engine == "auto" and g.p + g.q >= _VECTOR_MIN_NODES):
-        if g.n > 1:
-            result = _check_vector(g)
-    if result is None:
-        result = _check_python(g)
-
-    if isinstance(result, StructureViolation):
-        is_tree = result.kind == DEEP_SUBTREE
-        return StructureVerdict(is_tree, result, g, None)
-    if isinstance(result, tuple):
-        payload, violation = result
-        return StructureVerdict(True, violation, g, payload)
-    return StructureVerdict(True, None, g, result)

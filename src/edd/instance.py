@@ -320,9 +320,9 @@ def _check_sums(lengths, values, offsets, rule, label, violations):
     sums = _segment_sums(values, offsets)
     want = np.asarray(lengths, dtype=np.int64)
     bad = np.flatnonzero(sums != want)
-    if (values >= 2**62).any():
-        # int64 cumsum may wrap for huge lengths; redo exactly in Python.
-        exact = [sum(seg) for seg in np.split(values, offsets[1:-1])]
+    if len(values) and int(values.max()) * int(np.diff(offsets).max()) >= 2**63:
+        # some segment's sum may wrap in int64; redo exactly in Python.
+        exact = [sum(seg.tolist()) for seg in np.split(values, offsets[1:-1])]
         bad = np.flatnonzero(np.fromiter((e != w for e, w in zip(exact, lengths)),
                                          dtype=bool, count=len(lengths)))
         sums = exact

@@ -11,6 +11,7 @@ duplicate assignment.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, NamedTuple, Sequence
@@ -306,11 +307,11 @@ class NoSolution:
     violation: StructureViolation
 
 
-def solve_labeled(inst: LabeledInstance, *, engine: str = "auto") -> SolutionFamily | NoSolution:
+def solve_labeled(inst: LabeledInstance) -> SolutionFamily | NoSolution:
     """Run the core pipeline on one labeled instance: build the digest
     graph, screen its structure, then walk the diameter.  O(n)."""
     g = build_graph(inst)
-    verdict = check_structure(g, engine=engine)
+    verdict = check_structure(g)
     if verdict.violation is not None:
         return NoSolution(verdict.violation)
     return dangler_first_search(g, verdict)
@@ -384,26 +385,10 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
 
     Bijections pairing the same multiset of (AB-side label, BA-side
     label) produce digest graphs identical up to renaming interchangeable
-    fragments, hence identical value-level families.  Returns (perm,
-    rank-in-full-lex-enumeration) pairs, ranks ascending.
+    fragments, hence identical value-level families.  Each class is
+    represented by its first bijection in lexicographic order.  Returns
+    (perm, rank-in-full-lex-enumeration) pairs, ranks ascending.
     """
-    if len(a_labels) <= 8:
-        return _distinct_by_scan(a_labels, b_labels)
-    return _distinct_by_recursion(a_labels, b_labels, cap)
-
-
-def _distinct_by_scan(a_labels, b_labels):
-    # full lexicographic scan keeps the smallest representative per class
-    m = len(a_labels)
-    seen: dict = {}
-    for rank, perm in enumerate(permutations(range(m))):
-        sig = tuple(sorted(zip(a_labels, (b_labels[s] for s in perm))))
-        if sig not in seen:
-            seen[sig] = (perm, rank)
-    return list(seen.values())
-
-
-def _distinct_by_recursion(a_labels, b_labels, cap: int | None):
     # positions grouped by equal AB-side label; candidates ranked by
     # (BA-side label, index) so each group's picks can be forced into
     # ascending rank order, which makes every pairing multiset unique
@@ -419,11 +404,9 @@ def _distinct_by_recursion(a_labels, b_labels, cap: int | None):
         if cap is not None and len(out) > cap:
             return
         if d == m:
-            perm = [0] * m
-            for dd, t in enumerate(pos_order):
-                perm[t] = chosen_slot[dd]
-            tp = tuple(perm)
-            out.append((tp, _lehmer_rank(tp)))
+            need = Counter((a_labels[t], b_labels[s]) for t, s in zip(pos_order, chosen_slot))
+            perm = _first_bijection(a_labels, b_labels, need)
+            out.append((perm, _lehmer_rank(perm)))
             return
         t = pos_order[d]
         start = 0
@@ -444,6 +427,53 @@ def _distinct_by_recursion(a_labels, b_labels, cap: int | None):
     rec(0)
     out.sort(key=lambda pr: pr[1])
     return out
+
+
+def _first_bijection(a_labels, b_labels, need: Counter) -> tuple[int, ...]:
+    # greedy is exact: whatever pairs remain needed can always be placed
+    # on the remaining positions and slots, whose labels they match
+    used = [False] * len(b_labels)
+    perm = []
+    for a in a_labels:
+        s = next(s for s, b in enumerate(b_labels) if not used[s] and need[(a, b)])
+        used[s] = True
+        need[(a, b_labels[s])] -= 1
+        perm.append(s)
+    return tuple(perm)
+
+
+def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
+    """(assignment id, labeling) for one assignment per class of
+    assignments that provably relabel one another, ids ascending.
+
+    Raises AssignmentCapExceeded before the first labeling if the
+    representatives exceed ``max_assignments``.
+    """
+    plan = _labeling_plan(inst)
+    per_group: list[list[tuple[tuple[int, ...], int]]] = []
+    radices: list[int] = []
+    total = 1
+    for cpos, owners in plan.groups:
+        value = int(plan.values[cpos[0]])
+        a_labels = [_copy_label(value, int(plan.a_owners[cp]), inst.ab_sets) for cp in cpos]
+        b_labels = [_copy_label(value, o, inst.ba_sets) for o in owners]
+        matchings = _distinct_matchings(a_labels, b_labels, max_assignments)
+        per_group.append(matchings)
+        radices.append(math.factorial(len(cpos)))
+        total *= len(matchings)
+        if max_assignments is not None and total > max_assignments:
+            raise AssignmentCapExceeded(total, max_assignments)
+    suffix = [1] * (len(radices) + 1)
+    for i in range(len(radices) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * radices[i]
+
+    for combo in product(*per_group):
+        aid = sum(rank * suffix[i + 1] for i, (_perm, rank) in enumerate(combo))
+        b_own = plan.base_b.copy()
+        for (cpos, owners), (perm, _rank) in zip(plan.groups, combo):
+            for t, s in enumerate(perm):
+                b_own[cpos[t]] = owners[s]
+        yield aid, LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids)
 
 
 @dataclass(eq=False)
@@ -471,8 +501,7 @@ class SolveResult:
 def solve(inst: EddInstance, *,
           max_assignments: int | None = DEFAULT_MAX_ASSIGNMENTS,
           structural_dedup: bool = True,
-          first_only: bool = False,
-          engine: str = "auto") -> SolveResult:
+          first_only: bool = False) -> SolveResult:
     """Solve a consistent instance across all duplicate assignments.
 
     Each assignment of equal-valued copies is screened with the linear
@@ -483,63 +512,25 @@ def solve(inst: EddInstance, *,
     on symmetric inputs; ids still match the full enumeration order.
     ``first_only`` stops at the first family (existence checks).
     """
-    plan = _labeling_plan(inst)
+    if structural_dedup:
+        labelings = _distinct_labelings(inst, max_assignments)
+    else:
+        labelings = enumerate(label_duplicates(inst, max_assignments))
     families: list[tuple[int, SolutionFamily]] = []
     seen_keys: set = set()
     first_violation: StructureViolation | None = None
     tried = 0
-
-    if structural_dedup:
-        per_group: list[list[tuple[tuple[int, ...], int]]] = []
-        radices: list[int] = []
-        total = 1
-        for cpos, owners in plan.groups:
-            value = int(plan.values[cpos[0]])
-            a_labels = [_copy_label(value, int(plan.a_owners[cp]), inst.ab_sets) for cp in cpos]
-            b_labels = [_copy_label(value, o, inst.ba_sets) for o in owners]
-            matchings = _distinct_matchings(a_labels, b_labels, max_assignments)
-            per_group.append(matchings)
-            radices.append(math.factorial(len(cpos)))
-            total *= len(matchings)
-            if max_assignments is not None and total > max_assignments:
-                raise AssignmentCapExceeded(total, max_assignments)
-        suffix = [1] * (len(radices) + 1)
-        for i in range(len(radices) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * radices[i]
-
-        for combo in product(*per_group):
-            aid = sum(rank * suffix[i + 1] for i, (_perm, rank) in enumerate(combo))
-            b_own = plan.base_b.copy()
-            for (cpos, owners), (perm, _rank) in zip(plan.groups, combo):
-                for t, s in enumerate(perm):
-                    b_own[cpos[t]] = owners[s]
-            lab = LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids)
-            tried += 1
-            out = solve_labeled(lab, engine=engine)
-            if isinstance(out, NoSolution):
-                if first_violation is None:
-                    first_violation = out.violation
-                continue
-            key = out.family_key()
-            if key not in seen_keys:
-                seen_keys.add(key)
-                families.append((aid, out))
-                if first_only:
-                    break
-    else:
-        if max_assignments is not None and plan.total > max_assignments:
-            raise AssignmentCapExceeded(plan.total, max_assignments)
-        for aid, lab in enumerate(label_duplicates(inst)):
-            tried += 1
-            out = solve_labeled(lab, engine=engine)
-            if isinstance(out, NoSolution):
-                if first_violation is None:
-                    first_violation = out.violation
-                continue
-            key = out.family_key()
-            if key not in seen_keys:
-                seen_keys.add(key)
-                families.append((aid, out))
-                if first_only:
-                    break
+    for aid, lab in labelings:
+        tried += 1
+        out = solve_labeled(lab)
+        if isinstance(out, NoSolution):
+            if first_violation is None:
+                first_violation = out.violation
+            continue
+        key = out.family_key()
+        if key not in seen_keys:
+            seen_keys.add(key)
+            families.append((aid, out))
+            if first_only:
+                break
     return SolveResult(families, tried, first_violation)

@@ -14,6 +14,8 @@ from edd.digestgraph import (
 from edd.instance import EddInstance, LabeledInstance, label_duplicates, validate_consistency
 from edd.generator import random_instance
 
+from structure_reference import reference_structure
+
 from conftest import (
     deep_subtree_instance,
     demo_instance,
@@ -141,6 +143,37 @@ def test_diameter_is_longest_path(seed):
         assert len(v.diameter) - 1 == longest
 
 
+def assert_cycle_witness(g, nodes):
+    """A simple closed cycle in A1's component: fragment and C nodes
+    alternate, and each C-node joins the fragments listed beside it."""
+    assert len(nodes) >= 4 and len(nodes) % 2 == 0
+    assert len(set(nodes)) == len(nodes)
+    for i in range(0, len(nodes), 2):
+        frag, c, nxt = nodes[i], nodes[i + 1], nodes[(i + 2) % len(nodes)]
+        assert frag.kind in ("A", "B") and c.kind == "C"
+        owners = {NodeRef("A", int(g.a_owners[c.index])), NodeRef("B", int(g.b_owners[c.index]))}
+        assert {frag, nxt} == owners
+    assert nodes[0] in _naive_distances(g)[NodeRef("A", 0)]
+
+
+def assert_matches_reference(g):
+    """The engine against the plain breadth-first reference: equal
+    diameter, danglers and witnesses; any cycle may serve as witness."""
+    got = check_structure(g)
+    want = reference_structure(g)
+    assert got.is_tree == want.is_tree
+    assert got.diameter == want.diameter
+    assert got.danglers == want.danglers
+    assert (got.violation is None) == (want.violation is None)
+    if want.violation is None:
+        return
+    assert got.violation.kind == want.violation.kind
+    if want.violation.kind == HAS_CYCLE:
+        assert_cycle_witness(g, got.violation.nodes)
+    else:
+        assert got.violation == want.violation
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_engines_agree(seed):
     p = seed % 5 + 1
@@ -149,29 +182,14 @@ def test_engines_agree(seed):
     inst, _ = random_instance(seed, p, q, p + q + 4 if dup else 10_000,
                               max_retries=2000)
     for lab in label_duplicates(inst):
-        g = build_graph(lab)
-        plain = check_structure(g, engine="plain")
-        vector = check_structure(g, engine="vector")
-        assert plain.is_tree == vector.is_tree
-        assert (plain.violation is None) == (vector.violation is None)
-        if plain.violation is not None:
-            assert plain.violation == vector.violation
-        if plain.is_tree:
-            assert plain.diameter == vector.diameter
-        if plain.violation is None:
-            assert plain.danglers == vector.danglers
+        assert_matches_reference(build_graph(lab))
 
 
 def test_engines_agree_on_crafted_cases():
     for inst in (demo_instance(), dup_instance(), deep_subtree_instance(),
                  disconnected_instance(True), disconnected_instance(False)):
         for lab in label_duplicates(inst):
-            g = build_graph(lab)
-            plain = check_structure(g, engine="plain")
-            vector = check_structure(g, engine="vector")
-            assert plain.violation == vector.violation
-            assert plain.diameter == vector.diameter
-            assert plain.danglers == vector.danglers
+            assert_matches_reference(build_graph(lab))
 
 
 def test_node_accounting_invariant():
@@ -184,22 +202,14 @@ def test_node_accounting_invariant():
                 assert v.diameter_node_count + 2 * v.dangler_count == 2 * g.n + 1
 
 
-def test_unknown_engine_rejected():
-    g = graph_of(demo_instance())
-    with pytest.raises(ValueError):
-        check_structure(g, engine="bogus")
-
-
-def test_vector_engine_tiny_star():
+def test_engine_tiny_star():
     # p=1, q=3: one hub fragment, all pieces interchangeable
     inst = EddInstance((6,), (1, 2, 3), ((1, 2, 3),), ((1,), (2,), (3,)))
     g = graph_of(inst)
-    plain = check_structure(g, engine="plain")
-    vector = check_structure(g, engine="vector")
-    assert plain.violation is None and vector.violation is None
-    assert plain.diameter == vector.diameter
-    assert plain.danglers == vector.danglers
-    assert plain.dangler_count == 1  # third pendant; two serve as diameter ends
+    assert_matches_reference(g)
+    v = check_structure(g)
+    assert v.violation is None
+    assert v.dangler_count == 1  # third pendant; two serve as diameter ends
 
 
 def test_export_edges_golden():

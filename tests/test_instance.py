@@ -196,3 +196,13 @@ def test_large_lengths_validate_exactly():
     report = validate_consistency(bad)
     assert report.rules() == ("SUM_B",)
     assert str(big) in report.violations[0].detail
+
+
+def test_segment_sum_wraparound_is_caught():
+    # every value is below 2^62, but AB_1 sums to 2^64 + a_1 in int64
+    piece = 2**62 - 1
+    inst = EddInstance(((5 * piece) % 2**64,), (piece,) * 5, ((piece,) * 5,),
+                       ((piece,),) * 5)
+    report = validate_consistency(inst)
+    assert report.rules() == (SUM_A,)
+    assert str(5 * piece) in report.violations[0].detail

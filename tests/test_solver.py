@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
@@ -246,33 +248,40 @@ def test_solve_first_only_stops_early():
     assert len(res) == 1
 
 
+def _distinct_by_scan(a_labels, b_labels):
+    """Oracle: full lexicographic scan keeps the first bijection per class."""
+    m = len(a_labels)
+    seen: dict = {}
+    for rank, perm in enumerate(permutations(range(m))):
+        sig = tuple(sorted(zip(a_labels, (b_labels[s] for s in perm))))
+        if sig not in seen:
+            seen[sig] = (perm, rank)
+    return list(seen.values())
+
+
 def test_distinct_matching_strategies_agree():
     import random as _random
-    from itertools import permutations as _perms
 
-    from edd.solver import _distinct_by_recursion, _distinct_by_scan, _lehmer_rank
-
-    def sig_of(al, bl, perm):
-        return tuple(sorted(zip(al, (bl[s] for s in perm))))
+    from edd.solver import _distinct_matchings, _lehmer_rank
 
     rng = _random.Random(0)
     pool = [("s",), ("f", 1), ("f", 2), ("f", 3)]
+    cases = []
     for _trial in range(200):
         m = rng.randint(1, 6)
-        al = [rng.choice(pool) for _ in range(m)]
-        bl = [rng.choice(pool) for _ in range(m)]
-        scan = _distinct_by_scan(al, bl)
-        rec = _distinct_by_recursion(al, bl, None)
-        sigs_scan = {sig_of(al, bl, p) for p, _ in scan}
-        sigs_rec = {sig_of(al, bl, p) for p, _ in rec}
-        assert sigs_scan == sigs_rec
-        assert len(scan) == len(rec) == len(sigs_scan)
-        all_perms = list(_perms(range(m)))
+        cases.append(([rng.choice(pool) for _ in range(m)],
+                      [rng.choice(pool) for _ in range(m)]))
+    # nine copies: the first size the solver never scanned
+    rng = _random.Random(9)
+    cases.append(([rng.choice(pool) for _ in range(9)], [rng.choice(pool) for _ in range(9)]))
+    for al, bl in cases:
+        rec = _distinct_matchings(al, bl, None)
+        assert rec == _distinct_by_scan(al, bl)
         for p, r in rec:
-            assert all_perms[r] == p and _lehmer_rank(p) == r
+            assert _lehmer_rank(p) == r
     # symmetric cases collapse completely
-    assert len(_distinct_by_recursion([("f", i) for i in range(10)],
-                                      [("s",)] * 10, None)) == 1
+    assert len(_distinct_matchings([("f", i) for i in range(10)],
+                                   [("s",)] * 10, None)) == 1
 
 
 def test_solutions_pass_verifier_sweep():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from enum import IntEnum
 
@@ -89,25 +90,25 @@ def _parse_index_list(text: str, count: int, name: str) -> tuple[int, ...]:
     return tuple(i - 1 for i in idx)
 
 
-def _family_notation(fam: SolutionFamily) -> str:
-    parts = []
-    for slot in fam.slots:
-        if hasattr(slot, "attachment"):
-            parts.append("[" + " ".join(str(e.value) for e in slot.elements) + "]")
-        else:
-            parts.append(str(slot.element.value))
-    return " ".join(parts)
-
-
-def _family_json(fam: SolutionFamily, graph) -> list:
+def _family_slots(fam: SolutionFamily) -> list:
+    """The family's JSON slots, in one pass over its values and block spans."""
+    values = fam.c_value_array().tolist()
+    p = fam.labeled.base.p
     slots = []
-    for slot in fam.slots:
-        if hasattr(slot, "attachment"):
-            slots.append({"block": [e.value for e in slot.elements],
-                          "attachment": graph.node_name(slot.attachment)})
-        else:
-            slots.append({"fixed": slot.element.value})
+    pos = 0
+    for s, e, node in zip(fam.block_starts.tolist(), fam.block_ends.tolist(),
+                          fam.block_attach.tolist()):
+        slots.extend({"fixed": v} for v in values[pos:s])
+        slots.append({"block": values[s:e],
+                      "attachment": f"A{node + 1}" if node < p else f"B{node - p + 1}"})
+        pos = e
+    slots.extend({"fixed": v} for v in values[pos:])
     return slots
+
+
+def _family_notation(slots: list) -> str:
+    return " ".join("[" + " ".join(map(str, slot["block"])) + "]" if "block" in slot
+                    else str(slot["fixed"]) for slot in slots)
 
 
 def _solution_lines(out: _Output, inst: EddInstance, sol) -> dict:
@@ -188,11 +189,15 @@ def cmd_solve(args, out: _Output) -> int:
     fam_payload = []
     for idx, (aid, fam) in enumerate(result):
         out.line(f"assignment: {aid}")
+        slots = _family_slots(fam)
         if args.emit_families:
-            out.line(f"family: {_family_notation(fam)}")
-        info = {"assignment": aid,
-                "family": _family_json(fam, build_graph(fam.labeled)),
-                "expansionCount": fam.expansion_count,
+            out.line(f"family: {_family_notation(slots)}")
+        count, digits = fam.expansion_count, sys.get_int_max_str_digits()
+        info = {"assignment": aid, "family": slots,
+                # an exact count too long to print is left out
+                "expansionCount": count if not digits or count < 10 ** digits else None,
+                "expansionCountLog10": math.fsum(math.lgamma(k + 1) / math.log(10)
+                                                 for k in fam.block_sizes()),
                 "solutions": []}
         fam_payload.append(info)
         expand_this = args.all or idx == 0

@@ -422,16 +422,15 @@ def label_duplicates(inst: EddInstance,
     plan = _labeling_plan(inst)
     if max_assignments is not None and plan.total > max_assignments:
         raise AssignmentCapExceeded(plan.total, max_assignments)
-    return _iter_labelings(inst, plan)
+    return (_labeling(inst, plan, combo)
+            for combo in product(*(permutations(range(len(cpos))) for cpos, _ in plan.groups)))
 
 
-def _iter_labelings(inst: EddInstance, plan: _LabelingPlan) -> Iterator[LabeledInstance]:
-    if not plan.groups:
-        yield LabeledInstance(inst, plan.values, plan.a_owners, plan.base_b, plan.copy_ids)
-        return
-    for combo in product(*(permutations(range(len(g[0]))) for g in plan.groups)):
-        b_own = plan.base_b.copy()
-        for (cpos, owners), perm in zip(plan.groups, combo):
-            for t, s in enumerate(perm):
-                b_own[cpos[t]] = owners[s]
-        yield LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids)
+def _labeling(inst: EddInstance, plan: _LabelingPlan, perms) -> LabeledInstance:
+    """The labeling that gives each group's t-th AB-side copy the BA-side
+    owner ``owners[perm[t]]``, one perm per group."""
+    b_own = plan.base_b.copy()
+    for (cpos, owners), perm in zip(plan.groups, perms):
+        for t, s in enumerate(perm):
+            b_own[cpos[t]] = owners[s]
+    return LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Iterator, NamedTuple, Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .digestgraph import (
     DigestGraph,
-    NodeRef,
     StructureVerdict,
     StructureViolation,
     build_graph,
@@ -31,6 +30,7 @@ from .instance import (
     EddInstance,
     LabeledInstance,
     LabeledLength,
+    _labeling,
     _labeling_plan,
     label_duplicates,
 )
@@ -101,40 +101,26 @@ def canonical_key(inst: EddInstance, sol: Solution):
 
 
 def canonicalize_solution(inst: EddInstance, sol: Solution) -> Solution:
-    c = sol.c_values()
-    a = sol.a_values(inst)
-    b = sol.b_values(inst)
-    if (c[::-1], a[::-1], b[::-1]) < (c, a, b):
-        return mirror_solution(sol)
-    return sol
+    forward = (sol.c_values(), sol.a_values(inst), sol.b_values(inst))
+    return sol if canonical_key(inst, sol) == forward else mirror_solution(sol)
 
 
 # --- solution families -----------------------------------------------------
-
-class Fixed(NamedTuple):
-    """A slot holding exactly one C-element."""
-
-    element: LabeledLength
-
-
-class Block(NamedTuple):
-    """Interchangeable C-elements attached at one diameter node.
-
-    Every ordering of ``elements`` (stored ascending by value, copy)
-    is valid in place."""
-
-    attachment: NodeRef
-    elements: tuple[LabeledLength, ...]
-
 
 @dataclass(eq=False)
 class SolutionFamily:
     """Compact form of every valid C-ordering for one labeled instance.
 
-    ``order`` lists C-indices in the canonical reading direction with
-    each block's interior ascending; blocks are half-open index ranges
-    into it.  Expanding the blocks in all ways yields every valid
-    layout.  The family is stored in the lexicographically smaller of
+    The family is its int64 arrays.  ``order`` lists C-indices in the
+    canonical reading direction, with each block's interior ascending by
+    (value, copy); ``c_value_array()`` gives their values.  Block k is
+    the half-open range ``block_starts[k]:block_ends[k]`` of ``order``,
+    attached at contracted node ``block_attach[k]`` (A-fragment i is node
+    i, B-fragment j is node p + j); every position outside a block is a
+    fixed slot.  Expanding the blocks in all ways yields every valid
+    layout: ``block_sizes()`` and ``expansion_count`` measure that, and
+    ``induced_index_arrays()`` gives pi_a / pi_b of the canonical
+    expansion.  The family is stored in the lexicographically smaller of
     the two reading directions (``canonical_orientation``)."""
 
     labeled: LabeledInstance
@@ -144,48 +130,13 @@ class SolutionFamily:
     block_attach: np.ndarray   # contracted node id per block
     canonical_orientation: bool = True
 
-    @property
-    def slots(self) -> tuple[Fixed | Block, ...]:
-        cached = self.__dict__.get("_slots_cache")
-        if cached is None:
-            cached = self._build_slots()
-            self.__dict__["_slots_cache"] = cached
-        return cached
-
-    def _build_slots(self):
-        elems = self.labeled.c_elements
-        p = self.labeled.base.p
-        order = self.order.tolist()
-        out: list[Fixed | Block] = []
-        pos = 0
-        spans = list(zip(self.block_starts.tolist(), self.block_ends.tolist(),
-                         self.block_attach.tolist()))
-        span_i = 0
-        while pos < len(order):
-            if span_i < len(spans) and spans[span_i][0] == pos:
-                s, e, att = spans[span_i]
-                span_i += 1
-                ref = NodeRef("A", att) if att < p else NodeRef("B", att - p)
-                out.append(Block(ref, tuple(elems[k] for k in order[s:e])))
-                pos = e
-            else:
-                out.append(Fixed(elems[order[pos]]))
-                pos += 1
-        return tuple(out)
-
     def block_sizes(self) -> tuple[int, ...]:
         return tuple((self.block_ends - self.block_starts).tolist())
 
     @property
     def expansion_count(self) -> int:
         """Number of raw expansions: product of block-size factorials."""
-        sizes = self.block_ends - self.block_starts
-        if not len(sizes):
-            return 1
-        total = 1
-        for size, times in zip(*np.unique(sizes, return_counts=True)):
-            total *= math.factorial(int(size)) ** int(times)
-        return total
+        return math.prod(map(math.factorial, self.block_sizes()))
 
     def c_value_array(self) -> np.ndarray:
         return self.labeled.values[self.order]
@@ -206,7 +157,10 @@ class SolutionFamily:
 def _dedupe_runs(owners: np.ndarray, count: int, kind: str) -> np.ndarray:
     if not len(owners):
         raise ValueError("empty ordering")
-    runs = owners[np.concatenate(([True], owners[1:] != owners[:-1]))]
+    first = np.empty(len(owners), dtype=bool)   # True where a run starts
+    first[0] = True
+    np.not_equal(owners[1:], owners[:-1], out=first[1:])
+    runs = owners[first]
     if len(runs) != count:
         seen = np.bincount(runs, minlength=count)
         bad = int(np.flatnonzero(seen != 1)[0])
@@ -272,32 +226,17 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
 def induced_permutation(pc: CPermutation, inst: LabeledInstance) -> Solution:
     """Group a C-ordering into its fragment orders (pi_a, pi_b).
 
-    Maximal runs sharing an owner become that owner's slot; an owner
-    split across two runs raises NotConsecutiveError.
+    Maximal runs sharing an owner become that owner's slot.  An owner
+    split across runs raises NotConsecutiveError, naming the smallest
+    split A-owner, else the smallest split B-owner.
     """
     if len(pc.order) != inst.n:
         raise ValueError("ordering does not cover C")
-    pi_a: list[int] = []
-    pi_b: list[int] = []
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    prev_a = prev_b = -1
-    for e in pc.order:
-        if e.a_owner != prev_a:
-            if e.a_owner in seen_a:
-                raise NotConsecutiveError("A", e.a_owner)
-            seen_a.add(e.a_owner)
-            pi_a.append(e.a_owner)
-            prev_a = e.a_owner
-        if e.b_owner != prev_b:
-            if e.b_owner in seen_b:
-                raise NotConsecutiveError("B", e.b_owner)
-            seen_b.add(e.b_owner)
-            pi_b.append(e.b_owner)
-            prev_b = e.b_owner
-    if len(pi_a) != inst.base.p or len(pi_b) != inst.base.q:
-        raise ValueError("ordering does not touch every fragment")
-    return Solution(tuple(pi_a), tuple(pi_b), pc)
+    # LabeledLength rows (value, a_owner, b_owner, copy_id) as one array
+    rows = np.array(pc.order, dtype=np.int64).reshape(inst.n, 4)
+    pi_a = _dedupe_runs(rows[:, 1], inst.base.p, "A")
+    pi_b = _dedupe_runs(rows[:, 2], inst.base.q, "B")
+    return Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), pc)
 
 
 @dataclass(frozen=True)
@@ -329,36 +268,59 @@ class FamilyExpansion:
         return len(self.solutions)
 
 
+def _next_permutation(arr: list[int], start: int, end: int) -> bool:
+    """Step ``arr[start:end]`` to its next lexicographic ordering in place;
+    past the last one, reset it to ascending and return False."""
+    i = end - 2
+    while i >= start and arr[i] >= arr[i + 1]:
+        i -= 1
+    if i >= start:
+        j = end - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+    arr[i + 1:end] = reversed(arr[i + 1:end])
+    return i >= start
+
+
 def expand_family(fam: SolutionFamily, inst: LabeledInstance | None = None,
                   max_expansions: int = DEFAULT_MAX_EXPANSIONS) -> FamilyExpansion:
-    """Enumerate block orderings (lexicographic by value) into Solutions.
+    """Enumerate block orderings lazily into Solutions.
 
-    Expansions that repeat an (A-values, B-values) sequence are dropped,
-    which only happens when equal values share a block.  Enumeration
-    stops at the cap with ``truncated`` set.
+    An odometer over the block spans of ``fam.order`` visits orderings in
+    ``itertools.product`` order: each block's orderings lexicographic by
+    value, the last block varying fastest.  Each ordering's pi_a / pi_b
+    come from its gathered owner arrays.  Expansions that repeat an
+    (A-values, B-values) sequence are dropped, which only happens when
+    equal values share a block.  Enumeration stops at the cap with
+    ``truncated`` set.
     """
     if inst is None:
         inst = fam.labeled
     elems = list(inst.c_elements)
-    base = fam.order.tolist()
+    a_lengths = np.array(inst.base.a_lengths, dtype=np.int64)
+    b_lengths = np.array(inst.base.b_lengths, dtype=np.int64)
+    a_owners, b_owners = inst.a_owners[fam.order], inst.b_owners[fam.order]
     spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist()))
+    pos = list(range(len(fam.order)))   # the odometer: positions in fam.order
     solutions: list[Solution] = []
     seen: set = set()
     truncated = False
-    for combo in product(*(permutations(range(s, e)) for s, e in spans)):
-        arr = base[:]
-        for (s, _e), perm in zip(spans, combo):
-            for off, src in enumerate(perm):
-                arr[s + off] = base[src]
-        sol = induced_permutation(CPermutation(tuple(elems[k] for k in arr)), inst)
-        key = (sol.a_values(inst.base), sol.b_values(inst.base))
-        if key in seen:
-            continue
-        if len(solutions) >= max_expansions:
-            truncated = True
+    while True:
+        at = np.array(pos)
+        pi_a = _dedupe_runs(a_owners[at], inst.base.p, "A")
+        pi_b = _dedupe_runs(b_owners[at], inst.base.q, "B")
+        key = (a_lengths[pi_a].tobytes(), b_lengths[pi_b].tobytes())
+        if key not in seen:
+            if len(solutions) >= max_expansions:
+                truncated = True
+                break
+            seen.add(key)
+            pc = CPermutation(tuple(map(elems.__getitem__, fam.order[at].tolist())))
+            solutions.append(Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), pc))
+        # advance the last block; a block that wraps around carries into the one before
+        if not any(_next_permutation(pos, s, e) for s, e in reversed(spans)):
             break
-        seen.add(key)
-        solutions.append(sol)
     return FamilyExpansion(tuple(solutions), truncated)
 
 
@@ -469,11 +431,7 @@ def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
 
     for combo in product(*per_group):
         aid = sum(rank * suffix[i + 1] for i, (_perm, rank) in enumerate(combo))
-        b_own = plan.base_b.copy()
-        for (cpos, owners), (perm, _rank) in zip(plan.groups, combo):
-            for t, s in enumerate(perm):
-                b_own[cpos[t]] = owners[s]
-        yield aid, LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids)
+        yield aid, _labeling(inst, plan, [perm for perm, _rank in combo])
 
 
 @dataclass(eq=False)

@@ -24,7 +24,7 @@ from edd.instance import (
     validate_consistency,
 )
 from edd.reduction import SimpleGraph, extract_path, has_hamiltonian_path, reduce_graph
-from edd.solver import Block, canonical_key, expand_family, solve
+from edd.solver import canonical_key, expand_family, solve
 from edd.verifier import brute_force_solve, verify_permutation
 
 from conftest import demo_instance, dup_instance
@@ -63,10 +63,9 @@ def test_criterion_1_demo_reproduction():
     result = solve(inst)
     assert len(result) == 1 and result.assignments_tried == 1
     _aid, fam = result[0]
-    shape = [(tuple(e.value for e in s.elements),
-              f"{s.attachment.kind}{s.attachment.index + 1}")
-             if isinstance(s, Block) else s.element.value for s in fam.slots]
-    assert shape == [6, 3, ((12, 15), "B2"), 8, 29, 17]
+    assert fam.c_value_array().tolist() == [6, 3, 12, 15, 8, 29, 17]
+    assert fam.block_starts.tolist() == [2] and fam.block_ends.tolist() == [4]
+    assert fam.block_attach.tolist() == [inst.p + 1]   # B2
 
     expansion = expand_family(fam)
     elapsed = time.perf_counter() - start

@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from edd.cli import main
-from edd.instance import serialize_instance
+from edd.generator import random_instance
+from edd.instance import EddInstance, serialize_instance
 
 from conftest import DEMO_TEXT, deep_subtree_instance, dup_instance
 
@@ -115,6 +117,7 @@ def test_solve_json_mirrors_human(capsys, demo_file):
     fam = data["families"][0]
     assert fam["assignment"] == 0
     assert fam["expansionCount"] == 2
+    assert fam["expansionCountLog10"] == pytest.approx(math.log10(2))
     assert fam["family"] == [
         {"fixed": 6}, {"fixed": 3},
         {"block": [12, 15], "attachment": "B2"},
@@ -293,3 +296,58 @@ def test_module_entry_point(demo_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+def star_instance(pieces: int) -> EddInstance:
+    """One A-fragment cut into single-piece B-fragments of lengths
+    1..pieces: the family is one block of every piece."""
+    values = tuple(range(1, pieces + 1))
+    return EddInstance((sum(values),), values, (values,), tuple((v,) for v in values))
+
+
+def test_solve_json_huge_expansion_count(capsys, tmp_path):
+    # 1000! has 2,568 digits and prints exactly; 1700! has 4,707, past
+    # the default int-to-str limit of 4,300, and prints as null
+    for pieces, exact in ((1000, math.factorial(1000)), (1700, None)):
+        path = tmp_path / f"star{pieces}.edd"
+        path.write_text(serialize_instance(star_instance(pieces)))
+        code, out = run(capsys, "solve", str(path), "--json", "--max-solutions", "0")
+        assert code == 0
+        fam = json.loads(out)["families"][0]
+        assert fam["family"][0]["block"] == list(range(1, pieces + 1))
+        assert fam["expansionCount"] == exact
+        assert fam["expansionCountLog10"] == pytest.approx(
+            math.lgamma(pieces + 1) / math.log(10))
+
+
+def _solve_capped(argv):
+    """``edd solve`` in a child process whose address space is capped at 2 GB."""
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, "-m", "edd", "solve", *argv],
+                          capture_output=True, text=True, preexec_fn=limit, timeout=600)
+
+
+def test_solve_big_maps_within_memory_cap(capsys, tmp_path):
+    # a random 2x10^4-fragment map has thousands of blocks and the star a
+    # block of 1,700: expanding either eagerly cannot fit in 2 GB
+    big = tmp_path / "big.edd"
+    big.write_text(serialize_instance(
+        random_instance(1, 10_001, 10_000, 4 * 10**17, duplicate_free=True)[0]))
+    star = tmp_path / "star.edd"
+    star.write_text(serialize_instance(star_instance(1700)))
+    for argv in ([big], [big, "--emit-families"], [big, "--json"], [star]):
+        proc = _solve_capped([str(a) for a in argv])
+        assert proc.returncode == 0, proc.stderr
+        if "--json" in argv:
+            sol = json.loads(proc.stdout)["families"][0]["solutions"][0]
+            pa, pb = (" ".join(map(str, sol[k])) for k in ("paIdx", "pbIdx"))
+        else:
+            fields = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+            pa, pb = fields["paIdx"], fields["pbIdx"]
+        code, out = run(capsys, "verify", str(argv[0]), "--pa", pa, "--pb", pb)
+        assert code == 0 and out == "valid\n"

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -6,9 +6,7 @@ from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
 from edd.generator import random_instance
 from edd.instance import AssignmentCapExceeded, EddInstance, label_duplicates
 from edd.solver import (
-    Block,
     CPermutation,
-    Fixed,
     NoSolution,
     NotConsecutiveError,
     Solution,
@@ -38,14 +36,23 @@ def first_labeling(inst):
 
 
 def slot_shape(family):
-    """(kind, values, attachment-name) triples for easy comparison."""
+    """(kind, values, attachment-name) triples read from the family's arrays."""
+    values = family.c_value_array().tolist()
+    p = family.labeled.base.p
+    blocks = {s: (e, a) for s, e, a in zip(family.block_starts.tolist(),
+                                           family.block_ends.tolist(),
+                                           family.block_attach.tolist())}
     shape = []
-    for slot in family.slots:
-        if isinstance(slot, Block):
-            shape.append(("block", tuple(e.value for e in slot.elements),
-                          f"{slot.attachment.kind}{slot.attachment.index + 1}"))
+    pos = 0
+    while pos < len(values):
+        if pos in blocks:
+            end, node = blocks[pos]
+            name = f"A{node + 1}" if node < p else f"B{node - p + 1}"
+            shape.append(("block", tuple(values[pos:end]), name))
+            pos = end
         else:
-            shape.append(("fixed", (slot.element.value,), None))
+            shape.append(("fixed", (values[pos],), None))
+            pos += 1
     return shape
 
 
@@ -176,6 +183,39 @@ def test_expand_family_cap_truncates():
     fam = solve(inst)[0][1]
     exp = expand_family(fam, max_expansions=5)
     assert len(exp) == 5 and exp.truncated
+
+
+def eager_expansion(fam):
+    """Reference: every block ordering in itertools.product order, minus
+    the layouts that repeat an (A-values, B-values) pair."""
+    inst = fam.labeled
+    elems = list(inst.c_elements)
+    base = fam.order.tolist()
+    spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist()))
+    out, seen = [], set()
+    for combo in product(*(permutations(base[s:e]) for s, e in spans)):
+        arr = base[:]
+        for (s, e), perm in zip(spans, combo):
+            arr[s:e] = perm
+        pc = tuple(elems[k] for k in arr)
+        pi_a, pi_b = ([o for i, o in enumerate(owners) if i == 0 or owners[i - 1] != o]
+                      for owners in ([e.a_owner for e in pc], [e.b_owner for e in pc]))
+        key = (tuple(inst.base.a_lengths[i] for i in pi_a),
+               tuple(inst.base.b_lengths[j] for j in pi_b))
+        if key not in seen:
+            seen.add(key)
+            out.append((tuple(pi_a), tuple(pi_b), pc))
+    return out
+
+
+def test_expansion_order_matches_eager_reference():
+    cases = [two_block_instance(), dup_instance(), multi_dup_instance()]
+    cases += [random_instance(seed, 4, 5, 14, min_duplicates=2, max_retries=2000)[0]
+              for seed in range(12)]
+    for inst in cases:
+        for _aid, fam in solve(inst, max_assignments=None):
+            got = [(s.pi_a, s.pi_b, tuple(s.pi_c.order)) for s in expand_family(fam)]
+            assert got == eager_expansion(fam)
 
 
 def test_no_dangler_family_single_expansion():

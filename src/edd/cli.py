@@ -15,6 +15,8 @@ import math
 import sys
 from enum import IntEnum
 
+import numpy as np
+
 from .digestgraph import build_graph, export_edges
 from .generator import CutModel, InfeasibleParams, instance_from_cuts, random_instance
 from .instance import (
@@ -40,7 +42,7 @@ from .solver import (
     expand_family,
     solve,
 )
-from .verifier import OracleCapExceeded, brute_force_solve, verify_permutation
+from .verifier import OracleCapExceeded, _is_permutation, brute_force_solve, verify_permutation
 
 
 class ExitStatus(IntEnum):
@@ -79,20 +81,22 @@ def _load_instance(path: str) -> EddInstance:
     return parse_instance(_read_file(path))
 
 
-def _parse_index_list(text: str, count: int, name: str) -> tuple[int, ...]:
+def _parse_index_list(text: str, count: int, name: str) -> np.ndarray:
+    """A 1-based permutation of 1..count as 0-based int64 indices."""
     tokens = text.replace(",", " ").split()
     try:
-        idx = tuple(int(t) for t in tokens)
+        idx = np.array(list(map(int, tokens)), dtype=np.int64) - 1
     except ValueError:
         raise ValueError(f"{name} must be a list of integers") from None
-    if sorted(idx) != list(range(1, count + 1)):
+    except OverflowError:   # beyond int64, so not an index
+        idx = None
+    if idx is None or not _is_permutation(idx, count):
         raise ValueError(f"{name} must be a permutation of 1..{count}")
-    return tuple(i - 1 for i in idx)
+    return idx
 
 
-def _family_slots(fam: SolutionFamily) -> list:
+def _family_slots(fam: SolutionFamily, values: list) -> list:
     """The family's JSON slots, in one pass over its values and block spans."""
-    values = fam.c_value_array().tolist()
     p = fam.labeled.base.p
     slots = []
     pos = 0
@@ -106,20 +110,28 @@ def _family_slots(fam: SolutionFamily) -> list:
     return slots
 
 
-def _family_notation(slots: list) -> str:
-    return " ".join("[" + " ".join(map(str, slot["block"])) + "]" if "block" in slot
-                    else str(slot["fixed"]) for slot in slots)
+def _family_notation(fam: SolutionFamily, values: list) -> str:
+    """Fixed values as they are, each block's values in brackets."""
+    tokens = list(map(str, values))
+    for s, e in zip(fam.block_starts.tolist(), fam.block_ends.tolist()):
+        tokens[s] = "[" + tokens[s]
+        tokens[e - 1] += "]"
+    return " ".join(tokens)
 
 
-def _solution_lines(out: _Output, inst: EddInstance, sol) -> dict:
+def _solution_lines(out: _Output, inst: EddInstance, sol) -> dict | None:
+    """Print one layout, or return its JSON record under ``--json``."""
+    a_values, b_values = sol.a_values(inst), sol.b_values(inst)
     pa_idx = [i + 1 for i in sol.pi_a]
     pb_idx = [j + 1 for j in sol.pi_b]
-    out.line("piA: " + " ".join(map(str, sol.a_values(inst))))
-    out.line("piB: " + " ".join(map(str, sol.b_values(inst))))
+    if out.as_json:
+        return {"piA": list(a_values), "piB": list(b_values),
+                "paIdx": pa_idx, "pbIdx": pb_idx, "piC": list(sol.c_values())}
+    out.line("piA: " + " ".join(map(str, a_values)))
+    out.line("piB: " + " ".join(map(str, b_values)))
     out.line("paIdx: " + " ".join(map(str, pa_idx)))
     out.line("pbIdx: " + " ".join(map(str, pb_idx)))
-    return {"piA": list(sol.a_values(inst)), "piB": list(sol.b_values(inst)),
-            "paIdx": pa_idx, "pbIdx": pb_idx, "piC": list(sol.c_values())}
+    return None
 
 
 def _violation_json(v, graph) -> dict | None:
@@ -189,23 +201,27 @@ def cmd_solve(args, out: _Output) -> int:
     fam_payload = []
     for idx, (aid, fam) in enumerate(result):
         out.line(f"assignment: {aid}")
-        slots = _family_slots(fam)
+        values = fam.c_value_array().tolist() if args.emit_families or out.as_json else None
         if args.emit_families:
-            out.line(f"family: {_family_notation(slots)}")
-        count, digits = fam.expansion_count, sys.get_int_max_str_digits()
-        info = {"assignment": aid, "family": slots,
-                # an exact count too long to print is left out
-                "expansionCount": count if not digits or count < 10 ** digits else None,
-                "expansionCountLog10": math.fsum(math.lgamma(k + 1) / math.log(10)
-                                                 for k in fam.block_sizes()),
-                "solutions": []}
-        fam_payload.append(info)
+            out.line(f"family: {_family_notation(fam, values)}")
+        info: dict = {}
+        if out.as_json:
+            count, digits = fam.expansion_count, sys.get_int_max_str_digits()
+            info = {"assignment": aid, "family": _family_slots(fam, values),
+                    # an exact count too long to print is left out
+                    "expansionCount": count if not digits or count < 10 ** digits else None,
+                    "expansionCountLog10": math.fsum(math.lgamma(k + 1) / math.log(10)
+                                                     for k in fam.block_sizes()),
+                    "solutions": []}
+            fam_payload.append(info)
         expand_this = args.all or idx == 0
         if expand_this and budget > 0:
             expansion = expand_family(fam, max_expansions=budget if args.all else 1)
             for i, sol in enumerate(expansion, start=1):
                 out.line(f"solution: {i}")
-                info["solutions"].append(_solution_lines(out, inst, sol))
+                record = _solution_lines(out, inst, sol)
+                if out.as_json:
+                    info["solutions"].append(record)
             if args.all:
                 budget -= len(expansion.solutions)
                 if expansion.truncated:

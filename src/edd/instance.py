@@ -13,7 +13,8 @@ that disambiguates equal sub-fragment lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from itertools import chain, permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -50,7 +51,33 @@ def _as_multiset(values) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
-@dataclass(frozen=True)
+def _int64(values: tuple) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        # beyond int64; kept exact so the range check can name it
+        return np.array(values, dtype=object)
+
+
+def _flatten(sets: tuple[tuple[int, ...], ...]):
+    """(values, owner, offsets) of ascending multisets, in fragment order."""
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    values = _int64(tuple(chain.from_iterable(sets)))
+    owner = np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
+    return values, owner, _offsets(sizes)
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _unflatten(values: np.ndarray, offsets: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    vals, offs = values.tolist(), offsets.tolist()
+    return tuple(tuple(vals[s:e]) for s, e in zip(offs, offs[1:]))
+
+
 class EddInstance:
     """EDD length data: A, B, and the per-fragment cross-digest multisets.
 
@@ -58,30 +85,65 @@ class EddInstance:
     instances with the same data compare equal and serialization is
     canonical.  The order of ``a_lengths``/``b_lengths`` is meaningful
     (fragment i owns ``ab_sets[i]``) and is preserved.
+
+    The cross-digest data is stored as int64 arrays (see ``_flats``);
+    ``a_lengths``/``b_lengths`` are tuples, while ``ab_sets``/``ba_sets``
+    are tuples of tuples built from the arrays on first access and then
+    cached.  Instances are immutable and compare and hash by all four
+    fields.
     """
 
-    a_lengths: tuple[int, ...]
-    b_lengths: tuple[int, ...]
-    ab_sets: tuple[tuple[int, ...], ...]
-    ba_sets: tuple[tuple[int, ...], ...]
+    def __init__(self, a_lengths, b_lengths, ab_sets, ba_sets):
+        ab_sets = tuple(map(_as_multiset, ab_sets))
+        ba_sets = tuple(map(_as_multiset, ba_sets))
+        self._init(_int64(tuple(a_lengths)), _int64(tuple(b_lengths)),
+                   _flatten(ab_sets), _flatten(ba_sets))
+        self.__dict__.update(ab_sets=ab_sets, ba_sets=ba_sets)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_lengths", tuple(self.a_lengths))
-        object.__setattr__(self, "b_lengths", tuple(self.b_lengths))
-        object.__setattr__(self, "ab_sets", tuple(_as_multiset(s) for s in self.ab_sets))
-        object.__setattr__(self, "ba_sets", tuple(_as_multiset(s) for s in self.ba_sets))
-        if not self.a_lengths or not self.b_lengths:
+    def _init(self, a: np.ndarray, b: np.ndarray, ab: tuple, ba: tuple):
+        """The one construction and validation path: A and B as arrays,
+        the AB and BA sides as (values, owner, offsets) flats."""
+        if not len(a) or not len(b):
             raise ValueError("need at least one fragment per enzyme")
-        if len(self.ab_sets) != len(self.a_lengths):
-            raise ValueError(f"expected {len(self.a_lengths)} AB multisets, got {len(self.ab_sets)}")
-        if len(self.ba_sets) != len(self.b_lengths):
-            raise ValueError(f"expected {len(self.b_lengths)} BA multisets, got {len(self.ba_sets)}")
-        for group in (self.a_lengths, self.b_lengths,
-                      chain.from_iterable(self.ab_sets), chain.from_iterable(self.ba_sets)):
-            vals = group if isinstance(group, tuple) else tuple(group)
-            if vals and not (1 <= min(vals) and max(vals) <= MAX_LENGTH):
-                bad = next(v for v in vals if not 1 <= v <= MAX_LENGTH)
+        if len(ab[2]) - 1 != len(a):
+            raise ValueError(f"expected {len(a)} AB multisets, got {len(ab[2]) - 1}")
+        if len(ba[2]) - 1 != len(b):
+            raise ValueError(f"expected {len(b)} BA multisets, got {len(ba[2]) - 1}")
+        for vals in (a, b, ab[0], ba[0]):
+            if len(vals) and (vals.dtype == object or vals.min() < 1):
+                bad = vals[(vals < 1) | (vals > MAX_LENGTH)][0]
                 raise ValueError(f"length {bad} outside [1, 2^63 - 1]")
+        self.__dict__.update(a_lengths=tuple(a.tolist()), b_lengths=tuple(b.tolist()),
+                             _a=a, _b=b, _ab=ab, _ba=ba)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def ab_sets(self) -> tuple[tuple[int, ...], ...]:
+        return _unflatten(self._ab[0], self._ab[2])
+
+    @cached_property
+    def ba_sets(self) -> tuple[tuple[int, ...], ...]:
+        return _unflatten(self._ba[0], self._ba[2])
+
+    def _key(self):
+        return (self.a_lengths, self.b_lengths, self.ab_sets, self.ba_sets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"EddInstance(a_lengths={self.a_lengths!r}, b_lengths={self.b_lengths!r}, "
+                f"ab_sets={self.ab_sets!r}, ba_sets={self.ba_sets!r})")
 
     @property
     def p(self) -> int:
@@ -92,27 +154,17 @@ class EddInstance:
         return len(self.b_lengths)
 
     def _flats(self):
-        """Flattened cross-digest data as int64 arrays (cached).
+        """Flattened cross-digest data as int64 arrays.
 
         Returns (ab_values, ab_owner, ab_offsets, ba_values, ba_owner,
         ba_offsets); the AB side is flattened in (fragment, ascending
         value) order, offsets delimit each fragment's segment.
         """
-        cached = self.__dict__.get("_flats_cache")
-        if cached is None:
-            cached = (_flatten(self.ab_sets), _flatten(self.ba_sets))
-            object.__setattr__(self, "_flats_cache", cached)
-        (fa, oa, offa), (fb, ob, offb) = cached
-        return fa, oa, offa, fb, ob, offb
+        return (*self._ab, *self._ba)
 
-
-def _flatten(sets: tuple[tuple[int, ...], ...]):
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    total = int(sizes.sum())
-    values = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=total)
-    owner = np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return values, owner, offsets
+    def _length_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``a_lengths`` and ``b_lengths`` as int64 arrays."""
+        return self._a, self._b
 
 
 class LabeledLength(NamedTuple):
@@ -211,89 +263,185 @@ def parse_instance(text: str) -> EddInstance:
     line per A-fragment and one ``BA j ...`` per B-fragment, 1-based,
     each index exactly once.  ``#`` starts a comment; blank lines are
     ignored.  Only syntax is checked here, not consistency.
+
+    One pass over the lines checks their kinds and keeps the text after
+    each kind; the indices and lengths of all lines are then read as one
+    int64 array and sorted into the instance's flats.  Any text that
+    bulk read cannot take exactly is read again token by token with
+    ``int()``, so values and ParseErrors (the first bad line, its line
+    number and message) are those of a line-by-line parse.
     """
+    lines = text.splitlines()
+    bodies: list[str] = []      # text after the kind of each A, B, AB and BA line
+    tags: list[int] = []        # the kinds, as indices into _KINDS
+    body_lines: list[int] = []
+    limits: list = [None, None]   # length counts of the A and B lines
+
+    def check_earlier_lines():
+        _exact_bodies(bodies, tags, body_lines, limits)   # raises for a bad one
+
+    def error(line_no: int, message: str) -> ParseError:
+        check_earlier_lines()   # a bad earlier line wins
+        return ParseError(line_no, message)
+
+    rows = enumerate(lines, start=1)
     header_seen = False
-    a_vals: list[int] | None = None
-    b_vals: list[int] | None = None
-    ab_lines: dict[int, list[int]] = {}
-    ba_lines: dict[int, list[int]] = {}
-
-    def parse_length(tok: str, line_no: int) -> int:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(line_no, f"invalid integer {tok!r}") from None
-        if v < 1:
-            raise ParseError(line_no, f"non-positive length {v}")
-        if v > MAX_LENGTH:
-            raise ParseError(line_no, f"length {v} exceeds 63-bit range")
-        return v
-
-    def parse_indexed(tokens: list[str], line_no: int, kind: str, limit: int | None,
-                      seen: dict[int, list[int]]):
-        if len(tokens) < 2:
-            raise ParseError(line_no, f"{kind} line needs an index")
-        try:
-            idx = int(tokens[1])
-        except ValueError:
-            raise ParseError(line_no, f"invalid {kind} index {tokens[1]!r}") from None
-        if limit is None:
-            raise ParseError(line_no, f"{kind} line before {kind[0]} line")
-        if not 1 <= idx <= limit:
-            raise ParseError(line_no, f"{kind} index {idx} out of range 1..{limit}")
-        if idx in seen:
-            raise ParseError(line_no, f"duplicate {kind} line for index {idx}")
-        seen[idx] = [parse_length(t, line_no) for t in tokens[2:]]
-
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        if not header_seen:
+    for line_no, line in rows:   # up to the first line with content
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
             if tokens != ["EDD", "1"]:
                 raise ParseError(line_no, "expected 'EDD 1' header")
             header_seen = True
+            break
+    for line_no, line in rows:
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split(None, 1)
+        if not parts:
             continue
-        kind = tokens[0]
-        if kind == "A":
-            if a_vals is not None:
-                raise ParseError(line_no, "duplicate A line")
-            a_vals = [parse_length(t, line_no) for t in tokens[1:]]
-            if not a_vals:
-                raise ParseError(line_no, "A line needs at least one length")
-        elif kind == "B":
-            if b_vals is not None:
-                raise ParseError(line_no, "duplicate B line")
-            b_vals = [parse_length(t, line_no) for t in tokens[1:]]
-            if not b_vals:
-                raise ParseError(line_no, "B line needs at least one length")
-        elif kind == "AB":
-            parse_indexed(tokens, line_no, "AB", None if a_vals is None else len(a_vals), ab_lines)
-        elif kind == "BA":
-            parse_indexed(tokens, line_no, "BA", None if b_vals is None else len(b_vals), ba_lines)
+        kind = parts[0]
+        tag = _TAGS.get(kind)
+        if tag is None:
+            raise error(line_no, f"unknown line kind {kind!r}")
+        if tag >= 2:
+            if len(parts) < 2:
+                raise error(line_no, f"{kind} line needs an index")
+            if limits[tag - 2] is None:
+                check_earlier_lines()
+                _index(kind, parts[1].split()[0], None, set(), line_no)   # raises
         else:
-            raise ParseError(line_no, f"unknown line kind {kind!r}")
+            if limits[tag] is not None:
+                raise error(line_no, f"duplicate {kind} line")
+            limits[tag] = len(parts[1].split()) if len(parts) > 1 else 0
+            if not limits[tag]:
+                raise error(line_no, f"{kind} line needs at least one length")
+        bodies.append(parts[1])
+        tags.append(tag)
+        body_lines.append(line_no)
 
+    values, sizes, index = (_read_bodies(bodies, tags, limits)
+                            or _exact_bodies(bodies, tags, body_lines, limits))
+    last_line = len(lines)
     if not header_seen:
         raise ParseError(last_line or 1, "missing 'EDD 1' header")
-    if a_vals is None:
+    p, q = limits
+    if p is None:
         raise ParseError(last_line, "missing A line")
-    if b_vals is None:
+    if q is None:
         raise ParseError(last_line, "missing B line")
-    for name, want, got in (("AB", len(a_vals), ab_lines), ("BA", len(b_vals), ba_lines)):
-        missing = [i for i in range(1, want + 1) if i not in got]
-        if missing:
-            raise ParseError(last_line, f"missing {name} line for index {missing[0]}")
+    for tag, want in ((2, p), (3, q)):
+        if tags.count(tag) < want:   # no index repeats, so one is missing
+            got = {int(i) for i, t in zip(index, tags) if t == tag}
+            missing = next(i for i in range(1, want + 1) if i not in got)
+            raise ParseError(last_line, f"missing {_KINDS[tag]} line for index {missing}")
 
-    return EddInstance(
-        a_lengths=tuple(a_vals),
-        b_lengths=tuple(b_vals),
-        ab_sets=tuple(tuple(ab_lines[i]) for i in range(1, len(a_vals) + 1)),
-        ba_sets=tuple(tuple(ba_lines[j]) for j in range(1, len(b_vals) + 1)),
-    )
+    kinds = np.repeat(np.array(tags, dtype=np.int8), sizes)
+    owner = np.repeat(index - 1, sizes)
+    ab, ba = kinds == 2, kinds == 3
+    inst = EddInstance.__new__(EddInstance)
+    inst._init(values[kinds == 0], values[kinds == 1],
+               _grouped(values[ab], owner[ab], p), _grouped(values[ba], owner[ba], q))
+    return inst
+
+
+_KINDS = ("A", "B", "AB", "BA")
+_TAGS = {kind: tag for tag, kind in enumerate(_KINDS)}
+
+
+def _index(kind: str, tok: str, limit: int | None, seen: set, line_no: int) -> int:
+    """The index of an AB or BA line, checked against the lines before."""
+    try:
+        idx = int(tok)
+    except ValueError:
+        raise ParseError(line_no, f"invalid {kind} index {tok!r}") from None
+    if limit is None:
+        raise ParseError(line_no, f"{kind} line before {kind[0]} line")
+    if not 1 <= idx <= limit:
+        raise ParseError(line_no, f"{kind} index {idx} out of range 1..{limit}")
+    if idx in seen:
+        raise ParseError(line_no, f"duplicate {kind} line for index {idx}")
+    seen.add(idx)
+    return idx
+
+
+def _length(tok: str, line_no: int) -> int:
+    try:
+        v = int(tok)
+    except ValueError:
+        raise ParseError(line_no, f"invalid integer {tok!r}") from None
+    if v < 1:
+        raise ParseError(line_no, f"non-positive length {v}")
+    if v > MAX_LENGTH:
+        raise ParseError(line_no, f"length {v} exceeds 63-bit range")
+    return v
+
+
+def _exact_bodies(bodies: list[str], tags: list[int], body_lines: list[int], limits):
+    """Lengths, per-line length counts and indices (0 on A and B lines),
+    read token by token with ``int()`` in file order; raises the
+    ParseError of the first bad token."""
+    values: list[int] = []
+    sizes, index = [], []
+    seen: tuple[set, set] = (set(), set())
+    for body, tag, line_no in zip(bodies, tags, body_lines):
+        tokens = body.split()
+        idx = 0
+        if tag >= 2:
+            idx = _index(_KINDS[tag], tokens[0], limits[tag - 2], seen[tag - 2], line_no)
+            tokens = tokens[1:]
+        values.extend(_length(tok, line_no) for tok in tokens)
+        sizes.append(len(tokens))
+        index.append(idx)
+    return (np.array(values, dtype=np.int64), np.array(sizes, dtype=np.int64),
+            np.array(index, dtype=np.int64))
+
+
+def _read_bodies(bodies: list[str], tags: list[int], limits):
+    """What ``_exact_bodies`` returns, read by one ``np.fromstring`` call
+    over the bodies joined by -1 markers (indices and lengths are at
+    least 1); None when that read may differ from ``int()``'s.
+
+    fromstring reads "+ 5" as 5 and any number beyond int64 as 2^63 - 1,
+    and rejects what ``int()`` takes, such as "1_000".  So a text with a
+    sign other than the markers', a token fromstring rejects, a value
+    below 1 or of 2^63 - 1, or an index out of range or repeated, goes
+    to ``_exact_bodies``, which reads it exactly or names its error.
+    """
+    text = " -1 ".join(bodies)
+    if not bodies or "+" in text or text.count("-") != len(bodies) - 1:
+        return None
+    try:
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    marks = np.flatnonzero(values < 1)
+    if len(marks) != len(bodies) - 1 or (values == MAX_LENGTH).any():
+        return None
+    kinds = np.array(tags, dtype=np.int8)
+    indexed = kinds >= 2
+    first = np.concatenate(([0], marks + 1))[indexed]   # where each index is
+    index = np.zeros(len(bodies), dtype=np.int64)
+    index[indexed] = values[first]
+    for tag, limit in ((2, limits[0]), (3, limits[1])):
+        got = index[kinds == tag]
+        if len(got) and (got.max() > limit or
+                         np.bincount(got, minlength=limit + 1).max() > 1):
+            return None
+    keep = np.ones(len(values), dtype=bool)
+    keep[marks] = False
+    keep[first] = False
+    sizes = np.diff(np.concatenate(([-1], marks, [len(values)]))) - 1 - indexed
+    return values[keep], sizes, index
+
+
+def _grouped(values: np.ndarray, owner: np.ndarray, count: int):
+    """(values, owner, offsets) sorted by (owner, value), owners 0..count-1."""
+    if len(values) > 1 and not np.all((owner[1:] > owner[:-1]) | (
+            (owner[1:] == owner[:-1]) & (values[1:] >= values[:-1]))):
+        order = np.argsort(values)
+        order = order[np.argsort(owner[order], kind="stable")]
+        values, owner = values[order], owner[order]
+    return values, owner, _offsets(np.bincount(owner, minlength=count))
 
 
 def serialize_instance(inst: EddInstance) -> str:

@@ -196,6 +196,19 @@ def _assemble(lab: LabeledInstance, spine: np.ndarray, links: np.ndarray,
     return (order, offsets[bpos], offsets[bpos] + counts[bpos], spine[bpos])
 
 
+def _reversed_groups(pos: np.ndarray) -> np.ndarray:
+    """The order that reverses the runs of equal values in the sorted
+    ``pos`` and keeps the order inside each run."""
+    n = len(pos)
+    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    sizes = np.diff(np.append(starts, n))
+    start_of = np.repeat(starts, sizes)
+    # a run starting at s with k members lands at n - s - k
+    order = np.empty(n, dtype=np.int64)
+    order[n - 2 * start_of - np.repeat(sizes, sizes) + np.arange(n)] = np.arange(n)
+    return order
+
+
 def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionFamily:
     """Read the diameter once, emitting dangler groups as blocks.
 
@@ -214,11 +227,9 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
         return SolutionFamily(lab, np.zeros(1, dtype=np.int64), empty, empty, empty)
 
     fwd = _assemble(lab, pay.spine, pay.links, pay.pend_c, pay.pend_pos)
-    m1 = len(pay.spine)
-    rpos = (m1 - 1) - pay.pend_pos
-    rsort = np.lexsort((lab.copy_ids[pay.pend_c], lab.values[pay.pend_c], rpos))
+    rsort = _reversed_groups(pay.pend_pos)
     rev = _assemble(lab, pay.spine[::-1], pay.links[::-1],
-                    pay.pend_c[rsort], rpos[rsort])
+                    pay.pend_c[rsort], (len(pay.spine) - 1) - pay.pend_pos[rsort])
     chosen = rev if _lex_less(lab.values[rev[0]], lab.values[fwd[0]]) else fwd
     return SolutionFamily(lab, *chosen)
 

@@ -12,8 +12,10 @@ orientation key are imported).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import permutations
 from typing import NamedTuple
+
+import numpy as np
 
 from .instance import EddInstance, LabeledLength
 from .solver import CPermutation, Solution, canonical_key, canonicalize_solution
@@ -73,9 +75,48 @@ class Layout:
     pieces: tuple[LayoutPiece, ...]
 
 
-def _check_permutation(seq, count, name):
-    if sorted(seq) != list(range(count)):
+def _is_permutation(idx: np.ndarray, count: int) -> bool:
+    """True when ``idx`` holds each of 0..count-1 exactly once."""
+    return idx.shape == (count,) and bool((np.sort(idx) == np.arange(count)).all())
+
+
+def _check_permutation(seq, count, name) -> np.ndarray:
+    idx = np.asarray(seq)
+    if idx.dtype.kind not in "iu" or not _is_permutation(idx, count):
         raise ValueError(f"{name} is not a permutation of 0..{count - 1}")
+    return idx.astype(np.int64, copy=False)
+
+
+def _cut_arrays(pa, pb, inst: EddInstance):
+    """Prefix sums of both orderings and the pieces they cut.
+
+    Returns (a_prefix, b_prefix, bounds, a_index, b_index): ``bounds``
+    holds 0, every cut and the total in ascending order, and piece k,
+    from ``bounds[k]`` to ``bounds[k + 1]``, lies in A-fragment
+    ``a_index[k]`` and B-fragment ``b_index[k]``.  Positions are exact
+    Python ints in object arrays when a digest's total passes int64.
+    """
+    pa = _check_permutation(pa, inst.p, "pa")
+    pb = _check_permutation(pb, inst.q, "pb")
+    a_len, b_len = inst._length_arrays()
+    a, b = a_len[pa], b_len[pb]
+    # no prefix sum exceeds its total, so int64 is exact unless a total overflows
+    if max(sum(inst.a_lengths), sum(inst.b_lengths)) >= 2**63:
+        a, b = a.astype(object), b.astype(object)
+    a_prefix, b_prefix = np.cumsum(a), np.cumsum(b)
+    if a_prefix[-1] != b_prefix[-1]:
+        raise SumMismatch(int(a_prefix[-1]), int(b_prefix[-1]))
+    a_cuts, b_cuts = a_prefix[:-1], b_prefix[:-1]
+    bounds = np.concatenate(([0], a_cuts, b_cuts, a_prefix[-1:]))
+    bounds.sort(kind="stable")
+    # each digest's cuts rise strictly inside (0, total): a repeat is a shared cut
+    shared = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if len(shared):
+        raise CoincidentCut(int(bounds[shared[0]]))
+    starts = bounds[:-1]
+    a_index = pa[np.searchsorted(a_cuts, starts, side="right")]
+    b_index = pb[np.searchsorted(b_cuts, starts, side="right")]
+    return a_prefix, b_prefix, bounds, a_index, b_index
 
 
 def layout(pa, pb, inst: EddInstance) -> Layout:
@@ -84,31 +125,33 @@ def layout(pa, pb, inst: EddInstance) -> Layout:
     ``pa``/``pb`` are 0-based index orders into a_lengths/b_lengths.
     Raises SumMismatch or CoincidentCut for unplottable inputs.
     """
-    pa = tuple(pa)
-    pb = tuple(pb)
-    _check_permutation(pa, inst.p, "pa")
-    _check_permutation(pb, inst.q, "pb")
-    a_prefix = list(accumulate(inst.a_lengths[i] for i in pa))
-    b_prefix = list(accumulate(inst.b_lengths[j] for j in pb))
-    if a_prefix[-1] != b_prefix[-1]:
-        raise SumMismatch(a_prefix[-1], b_prefix[-1])
-    total = a_prefix[-1]
-    a_cuts = a_prefix[:-1]
-    b_cuts = b_prefix[:-1]
-    shared = set(a_cuts) & set(b_cuts)
-    if shared:
-        raise CoincidentCut(min(shared))
+    a_prefix, b_prefix, bounds, a_index, b_index = _cut_arrays(pa, pb, inst)
+    cuts = bounds.tolist()
+    pieces = tuple(map(LayoutPiece, cuts[:-1], cuts[1:], a_index.tolist(), b_index.tolist()))
+    return Layout(cuts[-1], tuple(a_prefix[:-1].tolist()), tuple(b_prefix[:-1].tolist()),
+                  pieces)
 
-    bounds = sorted([0, total] + a_cuts + b_cuts)
-    pieces = []
-    ai = bi = 0
-    for start, end in zip(bounds, bounds[1:]):
-        pieces.append(LayoutPiece(start, end, pa[ai], pb[bi]))
-        if ai < len(a_cuts) and a_prefix[ai] == end:
-            ai += 1
-        if bi < len(b_cuts) and b_prefix[bi] == end:
-            bi += 1
-    return Layout(total, tuple(a_cuts), tuple(b_cuts), tuple(pieces))
+
+def _first_mismatch(keys: np.ndarray, n: int, lengths: np.ndarray,
+                    values: np.ndarray, want_owner: np.ndarray) -> int | None:
+    """The smallest fragment whose pieces differ, as a multiset, from its
+    segment of the flats ``values``/``want_owner``; None when all agree.
+
+    ``keys`` are the pieces' owner * n + length rank, sorted, so they
+    list the pieces by (owner, length) as the flats list their values;
+    ``lengths`` are the n piece lengths in rank order.
+    At the first position where the two lists differ, one of them holds
+    the smallest mismatched fragment, and the other a larger one.
+    """
+    owners, got = keys // n, lengths[keys % n]
+    m = min(len(owners), len(want_owner))
+    diff = np.flatnonzero((owners[:m] != want_owner[:m]) | (got[:m] != values[:m]))
+    if len(diff):
+        k = diff[0]
+        return int(min(owners[k], want_owner[k]))
+    if len(owners) != len(want_owner):
+        return int(owners[m] if len(owners) > m else want_owner[m])
+    return None
 
 
 @dataclass(frozen=True)
@@ -125,30 +168,39 @@ def verify_permutation(inst: EddInstance, pa, pb) -> VerifyResult:
 
     Valid means: the overlap pieces reproduce the multiset C, and the
     pieces covered by each fragment reproduce exactly its cross-digest
-    multiset.  The first failing check is reported.
+    multiset.  The first failing check is reported, in this order: the
+    digest totals, a coincident cut (the smallest), C, then the smallest
+    mismatched AB_i, then the smallest mismatched BA_j.
+
+    The work is array-wide: prefix sums place the cuts, one sort merges
+    them into pieces, ``searchsorted`` finds each piece's owners, and
+    one sort of (owner, length rank) keys lines the pieces up against
+    the flats of both sides.  Positions are exact Python ints when a
+    digest's total passes int64.  Raises ValueError when pa or pb is not
+    a permutation.
     """
     try:
-        lay = layout(pa, pb, inst)
+        _, _, bounds, a_index, b_index = _cut_arrays(pa, pb, inst)
     except LayoutError as err:
         return VerifyResult(False, err.rule)
-
-    lengths = sorted(piece.length for piece in lay.pieces)
-    expected = sorted(v for s in inst.ab_sets for v in s)
-    if lengths != expected:
+    # a piece is no longer than the fragments holding it, so lengths fit int64
+    pieces = np.diff(bounds).astype(np.int64)
+    fa, oa, _, fb, ob, _ = inst._flats()
+    n = len(pieces)
+    by_length = np.argsort(pieces)
+    lengths = pieces[by_length]
+    if n != len(fa) or (lengths != np.sort(fa)).any():
         return VerifyResult(False, "piece multiset differs from C")
-
-    by_a: dict[int, list[int]] = {}
-    by_b: dict[int, list[int]] = {}
-    for piece in lay.pieces:
-        by_a.setdefault(piece.a_index, []).append(piece.length)
-        by_b.setdefault(piece.b_index, []).append(piece.length)
-    for i, want in enumerate(inst.ab_sets):
-        if tuple(sorted(by_a.get(i, []))) != want:
-            return VerifyResult(False, f"AB_{i + 1} mismatch")
-    for j, want in enumerate(inst.ba_sets):
-        if tuple(sorted(by_b.get(j, []))) != want:
-            return VerifyResult(False, f"BA_{j + 1} mismatch")
-    return VerifyResult(True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_length] = np.arange(n)
+    # B-fragment j is owner p + j, so one pass checks AB_i before BA_j
+    p = inst.p
+    keys = np.sort(np.concatenate((a_index, b_index + p)) * n + np.tile(rank, 2))
+    bad = _first_mismatch(keys, n, lengths, np.concatenate((fa, fb)),
+                          np.concatenate((oa, ob + p)))
+    if bad is None:
+        return VerifyResult(True)
+    return VerifyResult(False, f"AB_{bad + 1} mismatch" if bad < p else f"BA_{bad - p + 1} mismatch")
 
 
 def _solution_from_layout(inst: EddInstance, pa, pb) -> Solution:

@@ -320,15 +320,20 @@ def test_solve_json_huge_expansion_count(capsys, tmp_path):
             math.lgamma(pieces + 1) / math.log(10))
 
 
-def _solve_capped(argv):
-    """``edd solve`` in a child process whose address space is capped at 2 GB."""
+def _edd_capped(argv):
+    """``edd`` in a child process whose address space is capped at 2 GB.
+
+    The child reads its arguments from stdin, one per line, because a
+    10^5-fragment ``--pa`` list is longer than the OS allows one
+    command-line argument to be."""
     resource = pytest.importorskip("resource")
     cap = 2 * 1024**3
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    return subprocess.run([sys.executable, "-m", "edd", "solve", *argv],
+    entry = "import sys; from edd.cli import main; sys.exit(main(sys.stdin.read().split('\\n')))"
+    return subprocess.run([sys.executable, "-c", entry], input="\n".join(argv),
                           capture_output=True, text=True, preexec_fn=limit, timeout=600)
 
 
@@ -341,7 +346,7 @@ def test_solve_big_maps_within_memory_cap(capsys, tmp_path):
     star = tmp_path / "star.edd"
     star.write_text(serialize_instance(star_instance(1700)))
     for argv in ([big], [big, "--emit-families"], [big, "--json"], [star]):
-        proc = _solve_capped([str(a) for a in argv])
+        proc = _edd_capped(["solve", *map(str, argv)])
         assert proc.returncode == 0, proc.stderr
         if "--json" in argv:
             sol = json.loads(proc.stdout)["families"][0]["solutions"][0]
@@ -351,3 +356,15 @@ def test_solve_big_maps_within_memory_cap(capsys, tmp_path):
             pa, pb = fields["paIdx"], fields["pbIdx"]
         code, out = run(capsys, "verify", str(argv[0]), "--pa", pa, "--pb", pb)
         assert code == 0 and out == "valid\n"
+
+
+def test_solve_then_verify_at_1e5_within_memory_cap(tmp_path):
+    # the whole file-to-answer path at 10^5 fragments, each step in a capped child
+    path = tmp_path / "big.edd"
+    path.write_text(serialize_instance(
+        random_instance(5, 50_001, 50_000, 4 * 10**17, duplicate_free=True)[0]))
+    solved = _edd_capped(["solve", str(path)])
+    assert solved.returncode == 0, solved.stderr
+    fields = dict(line.split(": ", 1) for line in solved.stdout.splitlines())
+    checked = _edd_capped(["verify", str(path), "--pa", fields["paIdx"], "--pb", fields["pbIdx"]])
+    assert (checked.returncode, checked.stdout) == (0, "valid\n"), checked.stderr

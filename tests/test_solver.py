@@ -1,5 +1,6 @@
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
@@ -10,6 +11,7 @@ from edd.solver import (
     NoSolution,
     NotConsecutiveError,
     Solution,
+    _reversed_groups,
     canonical_key,
     canonicalize_solution,
     dangler_first_search,
@@ -108,6 +110,27 @@ def test_dup_cycle_assignment_rejected():
     out = solve_labeled(labs[1])
     assert isinstance(out, NoSolution)
     assert out.violation.kind == HAS_CYCLE
+
+
+def test_reversed_pendant_order_matches_lexsort():
+    # the reversed reading sorts pendants by (reversed position, value, copy)
+    seen_groups = 0
+    instances = [random_instance(seed, 3 + seed % 40, 3 + seed % 37, 10**6)[0]
+                 for seed in range(60)]
+    for inst in instances + [dup_instance(), multi_dup_instance(), two_block_instance()]:
+        for lab in label_duplicates(inst):
+            g = build_graph(lab)
+            verdict = check_structure(g)
+            if verdict._payload is None or verdict._payload.single:
+                continue
+            pay = verdict._payload
+            rpos = (len(pay.spine) - 1) - pay.pend_pos
+            want = np.lexsort((lab.copy_ids[pay.pend_c], lab.values[pay.pend_c], rpos))
+            got = _reversed_groups(pay.pend_pos)
+            assert np.array_equal(pay.pend_c[got], pay.pend_c[want])
+            assert np.array_equal(rpos[got], rpos[want])
+            seen_groups += int((np.diff(pay.pend_pos) == 0).sum())
+    assert seen_groups > 100
 
 
 def test_induced_permutation_demo():

@@ -182,7 +182,7 @@ def cmd_solve(args, out: _Output) -> int:
 
     if not result:
         reason = result.first_violation
-        g = build_graph(next(iter(label_duplicates(inst))))
+        g = build_graph(result.violation_labeling) if reason is not None else None
         out.payload = {"status": "no-solution",
                        "assignmentsTried": result.assignments_tried,
                        "violation": _violation_json(reason, g)}

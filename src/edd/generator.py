@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import EddInstance, _CElementSeq
-from .solver import CPermutation, Solution
+from .instance import CPermutation, EddInstance
+from .solver import Solution
 
 
 class InfeasibleParams(ValueError):
@@ -57,8 +57,7 @@ def instance_from_cuts(model: CutModel) -> tuple[EddInstance, Solution]:
     A and B are the gap lengths of each cut set; AB_i/BA_j collect the
     pieces of the union digest falling inside each fragment.  The
     returned Solution is the identity ordering with the physical
-    left-to-right labeling (its C-ordering is an array-backed view, so
-    large models stay cheap).
+    left-to-right labeling.
     """
     total = model.total_length
     ca = np.asarray(model.cuts_a, dtype=np.int64)
@@ -77,8 +76,7 @@ def instance_from_cuts(model: CutModel) -> tuple[EddInstance, Solution]:
     ba_groups = _group_slices(length_list, b_idx, len(b_lengths))
     inst = EddInstance(a_lengths, b_lengths, ab_groups, ba_groups)
 
-    copy_ids = _occurrence_counts(lengths)
-    pi_c = CPermutation(_CElementSeq(lengths, a_idx, b_idx, copy_ids))
+    pi_c = CPermutation.along_line(lengths, a_idx, b_idx)
     truth = Solution(tuple(range(inst.p)), tuple(range(inst.q)), pi_c)
     return inst, truth
 
@@ -88,19 +86,6 @@ def _group_slices(values: list, owners: np.ndarray, count: int):
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=count))))
     off = offsets.tolist()
     return tuple(tuple(values[off[i]:off[i + 1]]) for i in range(count))
-
-
-def _occurrence_counts(values: np.ndarray) -> np.ndarray:
-    """1-based per-value occurrence counter, in sequence order."""
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    sizes = np.diff(np.append(starts, n))
-    within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = within + 1
-    return out
 
 
 def random_instance(seed: int, p: int, q: int, total_length: int, *,

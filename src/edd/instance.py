@@ -181,35 +181,56 @@ class LabeledLength(NamedTuple):
     copy_id: int
 
 
-class _CElementSeq(Sequence):
-    """Array-backed sequence of LabeledLength, materialized on access."""
+@dataclass(frozen=True, eq=False, slots=True)
+class CPermutation(Sequence):
+    """An ordering of labeled C-elements, held as one (4, n) int64 array.
 
-    __slots__ = ("_values", "_a", "_b", "_copy")
+    ``columns`` rows are value, a_owner, b_owner and copy_id, each in
+    reading order; orderings are built by gathering or slicing them
+    (``take``).  Indexing and iteration give ``LabeledLength`` rows, an
+    object view for the API edge; ``order`` is the ordering itself.
+    """
 
-    def __init__(self, values, a_owners, b_owners, copy_ids):
-        self._values = values
-        self._a = a_owners
-        self._b = b_owners
-        self._copy = copy_ids
+    columns: np.ndarray
+
+    @classmethod
+    def along_line(cls, values, a_owners, b_owners) -> CPermutation:
+        """Pieces in line order, equal values' copies numbered 1, 2, ... from the left."""
+        return cls(np.stack((values, a_owners, b_owners, _occurrence_counts(values))))
+
+    @property
+    def order(self) -> CPermutation:
+        return self
+
+    def take(self, index) -> CPermutation:
+        return CPermutation(self.columns[:, index])
+
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.columns[0].tolist())
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self.columns.shape[1]
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        return LabeledLength(int(self._values[k]), int(self._a[k]),
-                             int(self._b[k]), int(self._copy[k]))
+            return self.take(k)
+        return LabeledLength(*self.columns[:, k].tolist())
 
     def __iter__(self) -> Iterator[LabeledLength]:
-        return (LabeledLength(v, a, b, c)
-                for v, a, b, c in zip(self._values.tolist(), self._a.tolist(),
-                                      self._b.tolist(), self._copy.tolist()))
+        return map(LabeledLength._make, zip(*self.columns.tolist()))
 
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-        return NotImplemented
+
+def _occurrence_counts(values: np.ndarray) -> np.ndarray:
+    """1-based per-value occurrence counter, in sequence order."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    sizes = np.diff(np.append(starts, n))
+    within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = within + 1
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +238,7 @@ class LabeledInstance:
     """An EddInstance whose C-elements carry a concrete duplicate assignment.
 
     The parallel int64 arrays are the canonical storage; ``c_elements``
-    is an object view over them.  Elements are ordered by (a_owner,
+    stacks them into a CPermutation.  Elements are ordered by (a_owner,
     ascending value), i.e. the flattened AB side.
     """
 
@@ -232,8 +253,8 @@ class LabeledInstance:
         return len(self.values)
 
     @property
-    def c_elements(self) -> Sequence[LabeledLength]:
-        return _CElementSeq(self.values, self.a_owners, self.b_owners, self.copy_ids)
+    def c_elements(self) -> CPermutation:
+        return CPermutation(np.stack((self.values, self.a_owners, self.b_owners, self.copy_ids)))
 
 
 class ConsistencyViolation(NamedTuple):

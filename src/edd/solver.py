@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from .digestgraph import (
 )
 from .instance import (
     AssignmentCapExceeded,
+    CPermutation,
     EddInstance,
     LabeledInstance,
-    LabeledLength,
     _labeling,
     _labeling_plan,
-    label_duplicates,
 )
 
 DEFAULT_MAX_ASSIGNMENTS = 10_080  # 7! * 2
@@ -49,22 +48,10 @@ class NotConsecutiveError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class CPermutation:
-    """An ordering of the labeled C-elements."""
-
-    order: Sequence[LabeledLength]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-@dataclass(frozen=True, eq=False)
 class Solution:
-    """A valid layout: fragment orders pi_a / pi_b (0-based indices) plus
-    the C-ordering they were induced from."""
+    """A valid layout: fragment orders pi_a / pi_b (tuples of 0-based
+    indices) plus the C-ordering they were induced from, a CPermutation
+    whose columns hold the elements' values, owners and copy ids."""
 
     pi_a: tuple[int, ...]
     pi_b: tuple[int, ...]
@@ -81,8 +68,7 @@ class Solution:
 
 
 def mirror_solution(sol: Solution) -> Solution:
-    return Solution(tuple(reversed(sol.pi_a)), tuple(reversed(sol.pi_b)),
-                    CPermutation(tuple(reversed(tuple(sol.pi_c.order)))))
+    return Solution(sol.pi_a[::-1], sol.pi_b[::-1], sol.pi_c[::-1])
 
 
 def canonical_key(inst: EddInstance, sol: Solution):
@@ -142,9 +128,21 @@ class SolutionFamily:
         return self.labeled.values[self.order]
 
     def family_key(self) -> tuple:
-        """Value-level identity: equal keys expand to equal layout sets."""
-        return (self.c_value_array().tobytes(),
-                self.block_starts.tobytes(), self.block_ends.tobytes())
+        """Identity up to renaming fragments of equal length: equal keys
+        expand to equal layout sets.
+
+        Besides the C values along ``order`` and the block spans, each
+        position carries the lengths of its A-owner and B-owner and both
+        owners renumbered by first appearance (each owner is one run of
+        ``order``), so assignments that lay different A/B runs over one
+        C-value sequence stay apart.  O(n).
+        """
+        lab = self.labeled
+        key = [self.c_value_array(), self.block_starts, self.block_ends]
+        for owners, lengths in zip((lab.a_owners[self.order], lab.b_owners[self.order]),
+                                   lab.base._length_arrays()):
+            key += [lengths[owners], np.cumsum(np.diff(owners, prepend=owners[:1]) != 0)]
+        return tuple(k.tobytes() for k in key)
 
     def induced_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """pi_a / pi_b for the canonical expansion, as index arrays."""
@@ -237,16 +235,15 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
 def induced_permutation(pc: CPermutation, inst: LabeledInstance) -> Solution:
     """Group a C-ordering into its fragment orders (pi_a, pi_b).
 
-    Maximal runs sharing an owner become that owner's slot.  An owner
-    split across runs raises NotConsecutiveError, naming the smallest
-    split A-owner, else the smallest split B-owner.
+    Maximal runs sharing an owner, read from the ordering's owner
+    columns, become that owner's slot.  An owner split across runs
+    raises NotConsecutiveError, naming the smallest split A-owner, else
+    the smallest split B-owner.
     """
-    if len(pc.order) != inst.n:
+    if len(pc) != inst.n:
         raise ValueError("ordering does not cover C")
-    # LabeledLength rows (value, a_owner, b_owner, copy_id) as one array
-    rows = np.array(pc.order, dtype=np.int64).reshape(inst.n, 4)
-    pi_a = _dedupe_runs(rows[:, 1], inst.base.p, "A")
-    pi_b = _dedupe_runs(rows[:, 2], inst.base.q, "B")
+    pi_a = _dedupe_runs(pc.columns[1], inst.base.p, "A")
+    pi_b = _dedupe_runs(pc.columns[2], inst.base.q, "B")
     return Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), pc)
 
 
@@ -279,60 +276,62 @@ class FamilyExpansion:
         return len(self.solutions)
 
 
-def _next_permutation(arr: list[int], start: int, end: int) -> bool:
-    """Step ``arr[start:end]`` to its next lexicographic ordering in place;
-    past the last one, reset it to ascending and return False."""
-    i = end - 2
-    while i >= start and arr[i] >= arr[i + 1]:
+def _next_permutation(arr: list[int]) -> bool:
+    """Step ``arr`` to its next lexicographic ordering in place, equal
+    items counting as one; past the last one, reset it to ascending and
+    return False."""
+    i = len(arr) - 2
+    while i >= 0 and arr[i] >= arr[i + 1]:
         i -= 1
-    if i >= start:
-        j = end - 1
+    if i >= 0:
+        j = len(arr) - 1
         while arr[j] <= arr[i]:
             j -= 1
         arr[i], arr[j] = arr[j], arr[i]
-    arr[i + 1:end] = reversed(arr[i + 1:end])
-    return i >= start
+    arr[i + 1:] = reversed(arr[i + 1:])
+    return i >= 0
 
 
-def expand_family(fam: SolutionFamily, inst: LabeledInstance | None = None,
+def expand_family(fam: SolutionFamily,
                   max_expansions: int = DEFAULT_MAX_EXPANSIONS) -> FamilyExpansion:
-    """Enumerate block orderings lazily into Solutions.
+    """Enumerate the family's distinct layouts into Solutions.
 
-    An odometer over the block spans of ``fam.order`` visits orderings in
-    ``itertools.product`` order: each block's orderings lexicographic by
-    value, the last block varying fastest.  Each ordering's pi_a / pi_b
-    come from its gathered owner arrays.  Expansions that repeat an
-    (A-values, B-values) sequence are dropped, which only happens when
-    equal values share a block.  Enumeration stops at the cap with
-    ``truncated`` set.
+    A multiset odometer over the blocks of ``fam.order``: each block
+    steps through the next lexicographic permutation of its values, the
+    last block varying fastest, and the copies of an equal value keep
+    their ascending order.  The members of a block hang off one spine
+    node, each with a single-piece fragment of its own length on the
+    other side, so equal values are interchangeable: every distinct
+    layout comes exactly once, where it first comes in
+    ``itertools.product`` order over the block positions, and the cost
+    follows the number of distinct layouts.  Each layout's C-ordering
+    gathers the instance's columns; pi_a / pi_b come from its owner
+    columns.  Enumeration stops at the cap with ``truncated`` set.
     """
-    if inst is None:
-        inst = fam.labeled
-    elems = list(inst.c_elements)
-    a_lengths = np.array(inst.base.a_lengths, dtype=np.int64)
-    b_lengths = np.array(inst.base.b_lengths, dtype=np.int64)
-    a_owners, b_owners = inst.a_owners[fam.order], inst.b_owners[fam.order]
+    inst = fam.labeled
+    elems = inst.c_elements
+    values = inst.values[fam.order]
     spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist()))
-    pos = list(range(len(fam.order)))   # the odometer: positions in fam.order
+    blocks: dict[int, list[int]] = {}   # block -> its values, as stepped so far
+    at = np.arange(len(fam.order))      # the layout, as positions in fam.order
     solutions: list[Solution] = []
-    seen: set = set()
-    truncated = False
-    while True:
-        at = np.array(pos)
-        pi_a = _dedupe_runs(a_owners[at], inst.base.p, "A")
-        pi_b = _dedupe_runs(b_owners[at], inst.base.q, "B")
-        key = (a_lengths[pi_a].tobytes(), b_lengths[pi_b].tobytes())
-        if key not in seen:
-            if len(solutions) >= max_expansions:
-                truncated = True
-                break
-            seen.add(key)
-            pc = CPermutation(tuple(map(elems.__getitem__, fam.order[at].tolist())))
-            solutions.append(Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), pc))
+    while len(solutions) < max_expansions:
+        solutions.append(induced_permutation(elems.take(fam.order[at]), inst))
         # advance the last block; a block that wraps around carries into the one before
-        if not any(_next_permutation(pos, s, e) for s, e in reversed(spans)):
-            break
-    return FamilyExpansion(tuple(solutions), truncated)
+        for k in range(len(spans) - 1, -1, -1):
+            s, e = spans[k]
+            if k not in blocks:
+                blocks[k] = values[s:e].tolist()
+            block = blocks[k]
+            stepped = _next_permutation(block)
+            # a block of fam.order ascends by (value, copy), so the t-th
+            # copy of a value takes that value's t-th position
+            at[s + np.argsort(block, kind="stable")] = np.arange(s, e)
+            if stepped:
+                break
+        else:
+            return FamilyExpansion(tuple(solutions), False)
+    return FamilyExpansion(tuple(solutions), True)
 
 
 # --- duplicate assignments -------------------------------------------------
@@ -448,11 +447,14 @@ def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
 @dataclass(eq=False)
 class SolveResult:
     """Families found per duplicate assignment; behaves as a sequence of
-    (assignment-id, family) pairs and is truthy iff solutions exist."""
+    (assignment-id, family) pairs and is truthy iff solutions exist.
+    ``violation_labeling`` is the labeling that gave ``first_violation``,
+    whose witness nodes it names."""
 
     families: list[tuple[int, SolutionFamily]]
     assignments_tried: int
     first_violation: StructureViolation | None
+    violation_labeling: LabeledInstance | None
 
     def __iter__(self):
         return iter(self.families)
@@ -469,32 +471,28 @@ class SolveResult:
 
 def solve(inst: EddInstance, *,
           max_assignments: int | None = DEFAULT_MAX_ASSIGNMENTS,
-          structural_dedup: bool = True,
           first_only: bool = False) -> SolveResult:
     """Solve a consistent instance across all duplicate assignments.
 
-    Each assignment of equal-valued copies is screened with the linear
-    pipeline; families that coincide at value level are reported once,
-    keyed by the first assignment id that produced them.  With
-    ``structural_dedup`` (default) assignments that provably relabel one
-    another are skipped up front, which collapses the factorial blowup
-    on symmetric inputs; ids still match the full enumeration order.
-    ``first_only`` stops at the first family (existence checks).
+    Assignments that provably relabel one another are skipped up front,
+    which collapses the factorial blowup on symmetric inputs; the ids of
+    the rest still match the full enumeration order of
+    ``label_duplicates``.  Each is screened with the linear pipeline, and
+    families with equal ``family_key()`` are reported once, keyed by the
+    first assignment id that produced them.  The labeling behind the
+    first violation is kept for naming its witness.  ``first_only`` stops
+    at the first family (existence checks).
     """
-    if structural_dedup:
-        labelings = _distinct_labelings(inst, max_assignments)
-    else:
-        labelings = enumerate(label_duplicates(inst, max_assignments))
     families: list[tuple[int, SolutionFamily]] = []
     seen_keys: set = set()
-    first_violation: StructureViolation | None = None
+    first_violation = violation_labeling = None
     tried = 0
-    for aid, lab in labelings:
+    for aid, lab in _distinct_labelings(inst, max_assignments):
         tried += 1
         out = solve_labeled(lab)
         if isinstance(out, NoSolution):
             if first_violation is None:
-                first_violation = out.violation
+                first_violation, violation_labeling = out.violation, lab
             continue
         key = out.family_key()
         if key not in seen_keys:
@@ -502,4 +500,4 @@ def solve(inst: EddInstance, *,
             families.append((aid, out))
             if first_only:
                 break
-    return SolveResult(families, tried, first_violation)
+    return SolveResult(families, tried, first_violation, violation_labeling)

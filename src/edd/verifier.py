@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import EddInstance, LabeledLength
-from .solver import CPermutation, Solution, canonical_key, canonicalize_solution
+from .instance import CPermutation, EddInstance
+from .solver import Solution, canonical_key, canonicalize_solution
 
 COINCIDENT_CUT = "COINCIDENT_CUT"
 SUM_MISMATCH = "SUM_MISMATCH"
@@ -204,14 +204,9 @@ def verify_permutation(inst: EddInstance, pa, pb) -> VerifyResult:
 
 
 def _solution_from_layout(inst: EddInstance, pa, pb) -> Solution:
-    lay = layout(pa, pb, inst)
-    counts: dict[int, int] = {}
-    elems = []
-    for piece in lay.pieces:
-        v = piece.length
-        counts[v] = counts.get(v, 0) + 1
-        elems.append(LabeledLength(v, piece.a_index, piece.b_index, counts[v]))
-    return Solution(tuple(pa), tuple(pb), CPermutation(tuple(elems)))
+    _, _, bounds, a_index, b_index = _cut_arrays(pa, pb, inst)
+    pieces = np.diff(bounds).astype(np.int64)
+    return Solution(tuple(pa), tuple(pb), CPermutation.along_line(pieces, a_index, b_index))
 
 
 DEFAULT_ORACLE_CAP = 12

@@ -122,6 +122,8 @@ def _sweep_instances():
 
 @criterion(3, "200-instance sweep: solver and oracle find identical layout sets")
 def test_criterion_3_oracle_equivalence():
+    # Duplicate-heavy inputs up to p = q = 5, past this sweep's p + q <= 8,
+    # are swept in test_solver.test_duplicate_heavy_oracle_sweep.
     start = time.perf_counter()
     mismatches = []
     for idx, inst in enumerate(_sweep_instances()):

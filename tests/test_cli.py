@@ -320,6 +320,18 @@ def test_solve_json_huge_expansion_count(capsys, tmp_path):
             math.lgamma(pieces + 1) / math.log(10))
 
 
+def test_solve_all_equal_leaf_star_prints_one_layout(tmp_path):
+    # 12 equal pieces in one block: 12! orderings, one distinct layout
+    path = tmp_path / "star.edd"
+    path.write_text(serialize_instance(
+        EddInstance((84,), (7,) * 12, ((7,) * 12,), ((7,),) * 12)))
+    proc = subprocess.run([sys.executable, "-m", "edd", "solve", str(path), "--all"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("solution: ") == 1
+    assert "piB: " + " ".join(["7"] * 12) in proc.stdout.splitlines()
+
+
 def _edd_capped(argv):
     """``edd`` in a child process whose address space is capped at 2 GB.
 

@@ -17,6 +17,8 @@ from edd.reduction import (
 )
 from edd.solver import expand_family, solve
 
+from solve_reference import naive_solve
+
 
 def path_graph(n):
     return SimpleGraph(n, frozenset((i, i + 1) for i in range(1, n)))
@@ -132,7 +134,7 @@ def test_has_hamiltonian_path_cap():
 
 def test_reduction_equivalence_tiny():
     """Solvability of the reduced instance tracks path existence, in both
-    solve modes, for every graph on up to 3 nodes."""
+    solve and the naive reference loop, for every graph on up to 3 nodes."""
     graphs = []
     for nodes in (1, 2, 3):
         all_pairs = [(u, v) for u in range(1, nodes + 1) for v in range(u + 1, nodes + 1)]
@@ -144,8 +146,7 @@ def test_reduction_equivalence_tiny():
         expected = has_hamiltonian_path(h)
         fast = solve(red.instance, max_assignments=None, first_only=True)
         assert bool(fast) == expected
-        naive = solve(red.instance, max_assignments=None, structural_dedup=False,
-                      first_only=True)
+        naive = naive_solve(red.instance, first_only=True)
         assert bool(naive) == expected
         if expected:
             for sol in expand_family(fast[0][1]):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
-from edd.generator import random_instance
+from edd.generator import InfeasibleParams, random_instance
 from edd.instance import AssignmentCapExceeded, EddInstance, label_duplicates
 from edd.solver import (
-    CPermutation,
     NoSolution,
     NotConsecutiveError,
     Solution,
@@ -22,6 +21,8 @@ from edd.solver import (
     solve_labeled,
 )
 from edd.verifier import brute_force_solve, verify_permutation
+
+from solve_reference import naive_solve
 
 from conftest import (
     deep_subtree_instance,
@@ -136,23 +137,23 @@ def test_reversed_pendant_order_matches_lexsort():
 def test_induced_permutation_demo():
     inst = demo_instance()
     lab = first_labeling(inst)
-    by_value = {e.value: e for e in lab.c_elements}
-    pc = CPermutation(tuple(by_value[v] for v in (6, 3, 12, 15, 8, 29, 17)))
+    by_value = {e.value: k for k, e in enumerate(lab.c_elements)}
+    pc = lab.c_elements.take([by_value[v] for v in (6, 3, 12, 15, 8, 29, 17)])
     sol = induced_permutation(pc, lab)
     assert sol.pi_a == (0, 1, 2, 4, 3)
     assert sol.pi_b == (0, 1, 2)
     assert sol.a_values(inst) == (9, 12, 15, 37, 17)
     assert sol.b_values(inst) == (6, 38, 46)
 
-    pc_swapped = CPermutation(tuple(by_value[v] for v in (6, 3, 15, 12, 8, 29, 17)))
+    pc_swapped = lab.c_elements.take([by_value[v] for v in (6, 3, 15, 12, 8, 29, 17)])
     assert induced_permutation(pc_swapped, lab).pi_a == (0, 2, 1, 4, 3)
 
 
 def test_induced_permutation_rejects_split_runs():
     inst = demo_instance()
     lab = first_labeling(inst)
-    by_value = {e.value: e for e in lab.c_elements}
-    pc = CPermutation(tuple(by_value[v] for v in (6, 12, 3, 15, 8, 29, 17)))
+    by_value = {e.value: k for k, e in enumerate(lab.c_elements)}
+    pc = lab.c_elements.take([by_value[v] for v in (6, 12, 3, 15, 8, 29, 17)])
     with pytest.raises(NotConsecutiveError) as exc:
         induced_permutation(pc, lab)
     assert exc.value.kind == "A" and exc.value.index == 0
@@ -186,6 +187,7 @@ def test_solve_unsolvable_instances():
         res = solve(inst)
         assert not res
         assert res.first_violation is not None
+        assert solve_labeled(res.violation_labeling).violation == res.first_violation
         assert brute_force_solve(inst) == []
 
 
@@ -241,6 +243,17 @@ def test_expansion_order_matches_eager_reference():
             assert got == eager_expansion(fam)
 
 
+def test_mixed_multiplicity_star_matches_eager_reference():
+    # one block of 5, 5, 5, 7, 7, 9: 6! orderings, 6! / (3! * 2!) distinct layouts
+    leaves = (5, 5, 5, 7, 7, 9)
+    inst = EddInstance((sum(leaves),), leaves, (leaves,), tuple((v,) for v in leaves))
+    (_aid, fam), = solve(inst)
+    assert fam.block_sizes() == (6,)
+    got = [(s.pi_a, s.pi_b, tuple(s.pi_c.order)) for s in expand_family(fam)]
+    assert len(got) == 60
+    assert got == eager_expansion(fam)
+
+
 def test_no_dangler_family_single_expansion():
     # strictly alternating cuts: every fragment spans two pieces
     inst = EddInstance(
@@ -292,7 +305,7 @@ def test_structural_dedup_matches_naive():
         cases.append(inst)
     for inst in cases:
         fast = solve(inst, max_assignments=None)
-        naive = solve(inst, max_assignments=None, structural_dedup=False)
+        naive = naive_solve(inst)
         assert fast.assignments_tried <= naive.assignments_tried
         assert [aid for aid, _ in fast] == [aid for aid, _ in naive]
         assert [fam.family_key() for _, fam in fast] == [fam.family_key() for _, fam in naive]
@@ -302,7 +315,29 @@ def test_structural_dedup_matches_naive():
 def test_solve_assignment_cap():
     inst = multi_dup_instance()
     with pytest.raises(AssignmentCapExceeded):
-        solve(inst, max_assignments=3, structural_dedup=False)
+        solve(inst, max_assignments=3)
+
+
+def _duplicate_heavy_instances():
+    """p, q in 3..5 on a line only 2 to 5 units longer than p + q, with
+    at least two repeated values: seeds 1..90, and 107."""
+    for seed in [*range(1, 91), 107]:
+        p, q = 3 + seed % 3, 3 + (seed // 3) % 3
+        try:
+            yield seed, random_instance(seed, p, q, p + q + 2 + seed % 4, min_duplicates=2)[0]
+        except InfeasibleParams:
+            continue
+
+
+def test_duplicate_heavy_oracle_sweep():
+    # Seeds 8, 17, 23 and 107 lose layouts when families are told apart
+    # by their C values and block spans alone: two assignments can lay
+    # different A/B runs over one C-value sequence.
+    mismatches = []
+    for seed, inst in _duplicate_heavy_instances():
+        if solution_keys(inst, solve(inst, max_assignments=None)) != oracle_keys(inst):
+            mismatches.append(seed)
+    assert mismatches == []
 
 
 def test_solve_first_only_stops_early():

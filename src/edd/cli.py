@@ -379,12 +379,29 @@ def cmd_extract_hp(args, out: _Output) -> int:
     return int(ExitStatus.OK)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, like the commands' own errors."""
+
+    def error(self, message):
+        self.exit(int(ExitStatus.USAGE), f"error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON object")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edd",
         description="Reconstruct fragment orderings from enhanced double digest data.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", parents=[common], help="find valid fragment orderings")
     s.add_argument("file")
     s.add_argument("--all", action="store_true", help="expand every family")
-    s.add_argument("--max-solutions", type=int, default=DEFAULT_MAX_EXPANSIONS)
-    s.add_argument("--max-assignments", type=int, default=DEFAULT_MAX_ASSIGNMENTS)
+    s.add_argument("--max-solutions", type=_int_at_least(0), default=DEFAULT_MAX_EXPANSIONS)
+    s.add_argument("--max-assignments", type=_int_at_least(1), default=DEFAULT_MAX_ASSIGNMENTS)
     s.add_argument("--emit-families", action="store_true",
                    help="print the compact block notation")
     s.add_argument("--dump-graph", metavar="PATH",

@@ -5,8 +5,10 @@ B-fragment that contain it, so A/B nodes carry fragments and C-nodes
 carry sub-fragments.  An instance admits a left-to-right layout exactly
 when this graph is a tree whose longest path carries everything else as
 danglers (2-node stubs: one C-node plus one single-piece fragment).
-check_structure decides that, producing either the diameter plus the
-dangler groups or a violation witness.
+check_structure decides that, producing either a violation witness or
+the diameter as int64 arrays: its interior nodes, the C-edges linking
+them, and the pendant C-edges grouped by the diameter node they hang
+from.
 
 Internally the graph is contracted: A/B fragments are the nodes and
 each C-element is an edge between its two owners.  One numpy engine
@@ -63,36 +65,6 @@ class DigestGraph:
     def b_owners(self) -> np.ndarray:
         return self.labeled.b_owners
 
-    @property
-    def node_count(self) -> int:
-        return self.p + self.q + self.n
-
-    @property
-    def edge_count(self) -> int:
-        return 2 * self.n
-
-    def _incidence(self):
-        cached = self.__dict__.get("_incidence_cache")
-        if cached is None:
-            cached = (_csr_groups(self.a_owners, self.p), _csr_groups(self.b_owners, self.q))
-            object.__setattr__(self, "_incidence_cache", cached)
-        return cached
-
-    def a_incident(self, i: int) -> tuple[int, ...]:
-        """C-indices contained in A-fragment i."""
-        offsets, order = self._incidence()[0]
-        return tuple(order[offsets[i]:offsets[i + 1]].tolist())
-
-    def b_incident(self, j: int) -> tuple[int, ...]:
-        offsets, order = self._incidence()[1]
-        return tuple(order[offsets[j]:offsets[j + 1]].tolist())
-
-    def a_degrees(self) -> np.ndarray:
-        return np.bincount(self.a_owners, minlength=self.p)
-
-    def b_degrees(self) -> np.ndarray:
-        return np.bincount(self.b_owners, minlength=self.q)
-
     def node_name(self, ref: NodeRef) -> str:
         if ref.kind == "A":
             return f"A{ref.index + 1}"
@@ -100,12 +72,6 @@ class DigestGraph:
             return f"B{ref.index + 1}"
         lab = self.labeled
         return f"C{int(lab.values[ref.index])}#{int(lab.copy_ids[ref.index])}"
-
-
-def _csr_groups(owners: np.ndarray, count: int):
-    order = np.argsort(owners, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=count))))
-    return offsets, order
 
 
 def build_graph(inst: LabeledInstance) -> DigestGraph:
@@ -141,13 +107,15 @@ class StructureViolation:
 
 @dataclass(eq=False)
 class _TreePayload:
-    """Diameter decomposition of a tree-shaped digest graph.
+    """Diameter decomposition of a tree-shaped digest graph, as arrays.
 
-    ``spine`` lists the contracted interior nodes of the diameter in
-    listing order; ``links`` the C-edges between consecutive spine
-    nodes.  Pendant C-edges (exactly one leaf endpoint) are sorted by
-    (spine position, value, copy) and include the two diameter
-    terminals, identified by ``start_c``/``end_c``.
+    ``single`` marks the one-element instance, whose payload arrays are
+    empty.  Otherwise ``spine`` lists the contracted interior nodes of
+    the diameter in listing order and ``links`` the C-edges between
+    consecutive spine nodes.  ``pend_c`` holds the pendant C-edges
+    (exactly one leaf endpoint) sorted by (spine position, value, copy),
+    with their spine positions in ``pend_pos``; the two diameter
+    terminals are pendants of the first and last spine node.
     """
 
     single: bool
@@ -155,11 +123,6 @@ class _TreePayload:
     links: np.ndarray
     pend_c: np.ndarray
     pend_pos: np.ndarray
-    pend_leaf: np.ndarray
-    start_leaf: int
-    start_c: int
-    end_leaf: int
-    end_c: int
 
 
 def _contracted_ref(p: int, node: int) -> NodeRef:
@@ -168,82 +131,12 @@ def _contracted_ref(p: int, node: int) -> NodeRef:
 
 @dataclass(eq=False)
 class StructureVerdict:
-    """Outcome of the tree-plus-danglers screening."""
+    """Outcome of the tree-plus-danglers screening: ``payload`` is the
+    diameter decomposition whenever ``is_tree`` holds."""
 
     is_tree: bool
     violation: StructureViolation | None
-    _graph: DigestGraph
-    _payload: _TreePayload | None
-
-    @property
-    def diameter(self) -> tuple[NodeRef, ...] | None:
-        """Diameter as a node sequence (present iff the graph is a tree)."""
-        if not self.is_tree:
-            return None
-        cached = self.__dict__.get("_diameter_cache")
-        if cached is None:
-            cached = self._build_diameter()
-            self.__dict__["_diameter_cache"] = cached
-        return cached
-
-    def _build_diameter(self) -> tuple[NodeRef, ...]:
-        pay = self._payload
-        p = self._graph.p
-        if pay.single:
-            return (NodeRef("A", 0), NodeRef("C", 0), NodeRef("B", 0))
-        out = [_contracted_ref(p, pay.start_leaf), NodeRef("C", int(pay.start_c))]
-        links = pay.links.tolist()
-        for i, s in enumerate(pay.spine.tolist()):
-            out.append(_contracted_ref(p, s))
-            if i < len(links):
-                out.append(NodeRef("C", links[i]))
-        out.append(NodeRef("C", int(pay.end_c)))
-        out.append(_contracted_ref(p, pay.end_leaf))
-        return tuple(out)
-
-    @property
-    def diameter_node_count(self) -> int | None:
-        if not self.is_tree:
-            return None
-        pay = self._payload
-        return 3 if pay.single else 2 * len(pay.spine) + 3
-
-    @property
-    def dangler_count(self) -> int | None:
-        if not self.is_tree or self.violation is not None:
-            return None
-        pay = self._payload
-        return 0 if pay.single else len(pay.pend_c) - 2
-
-    @property
-    def danglers(self) -> dict[NodeRef, tuple[tuple[NodeRef, NodeRef], ...]] | None:
-        """Dangler pairs (C-node, leaf) grouped by diameter node; present
-        iff there is no violation."""
-        if self.violation is not None or not self.is_tree:
-            return None
-        cached = self.__dict__.get("_danglers_cache")
-        if cached is None:
-            cached = self._build_danglers()
-            self.__dict__["_danglers_cache"] = cached
-        return cached
-
-    def _build_danglers(self):
-        pay = self._payload
-        p = self._graph.p
-        out: dict[NodeRef, tuple[tuple[NodeRef, NodeRef], ...]] = {}
-        if pay.single:
-            return out
-        spine = pay.spine.tolist()
-        terminals = {int(pay.start_c), int(pay.end_c)}
-        groups: dict[int, list[tuple[NodeRef, NodeRef]]] = {}
-        for c, pos, leaf in zip(pay.pend_c.tolist(), pay.pend_pos.tolist(),
-                                pay.pend_leaf.tolist()):
-            if c in terminals:
-                continue
-            groups.setdefault(pos, []).append((NodeRef("C", c), _contracted_ref(p, leaf)))
-        for pos in sorted(groups):
-            out[_contracted_ref(p, spine[pos])] = tuple(groups[pos])
-        return out
+    payload: _TreePayload | None
 
 
 def check_structure(g: DigestGraph) -> StructureVerdict:
@@ -257,14 +150,14 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     diameter is found by two farthest-node passes from the smallest
     leaf, each breaking ties toward the smallest node id, and every
     C-edge hanging off it must reach a leaf; the smallest one that does
-    not is the DEEP_SUBTREE witness.  O(n log n) array work, with no
-    Python loop over nodes.
+    not is the DEEP_SUBTREE witness.  A tree's verdict carries the
+    diameter as the spine, link and pendant arrays of ``_TreePayload``.
+    O(n log n) array work, with no Python loop over nodes.
     """
     p, q, n = g.p, g.q, g.n
     if n == 1:
         empty = np.empty(0, np.int64)
-        return StructureVerdict(True, None, g, _TreePayload(
-            True, empty, empty, empty, empty, empty, 0, 0, p, 0))
+        return StructureVerdict(True, None, _TreePayload(True, empty, empty, empty, empty))
     nn = p + q
     u = g.a_owners
     w = g.b_owners + p
@@ -273,7 +166,7 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     deg = np.bincount(tail, minlength=nn)
     walk = _face_walk(tail, deg, 0)
     if len(walk) < 2 * n:
-        return StructureVerdict(False, _off_tree_violation(g, walk, tail, head), g, None)
+        return StructureVerdict(False, _off_tree_violation(g, walk, tail, head), None)
 
     # depth along the Euler tour from node 0: a dart steps down unless
     # its edge was walked before; first[x] is where the tour reaches x
@@ -315,16 +208,13 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     # the two diameter terminals join the end blocks like any other pendant
     pend_c = np.concatenate((hanging[~deep], edges[[0, -1]]))
     pend_pos = np.concatenate((pos[att[~deep]], pos[path[[1, -2]]])) - 1
-    pend_leaf = np.concatenate((leaf[~deep], (e2, e1)))
     lab = g.labeled
     by_pos = np.lexsort((lab.copy_ids[pend_c], lab.values[pend_c], pend_pos))
-    payload = _TreePayload(False, path[1:-1], edges[1:-1], pend_c[by_pos],
-                           pend_pos[by_pos], pend_leaf[by_pos],
-                           e2, int(edges[0]), e1, int(edges[-1]))
+    payload = _TreePayload(False, path[1:-1], edges[1:-1], pend_c[by_pos], pend_pos[by_pos])
     violation = None
     if deep.any():
         violation = StructureViolation(DEEP_SUBTREE, (NodeRef("C", int(hanging[deep][0])),))
-    return StructureVerdict(True, violation, g, payload)
+    return StructureVerdict(True, violation, payload)
 
 
 def _face_walk(tail: np.ndarray, deg: np.ndarray, root: int) -> np.ndarray:

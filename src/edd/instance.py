@@ -534,10 +534,7 @@ def count_assignments(inst: EddInstance) -> int:
     """Number of duplicate assignments: product of multiplicity factorials."""
     fa = inst._flats()[0]
     _, counts = np.unique(fa, return_counts=True)
-    total = 1
-    for m in counts.tolist():
-        total *= math.factorial(m)
-    return total
+    return math.prod(map(math.factorial, counts[counts > 1].tolist()))
 
 
 class _LabelingPlan(NamedTuple):
@@ -546,7 +543,6 @@ class _LabelingPlan(NamedTuple):
     copy_ids: np.ndarray
     base_b: np.ndarray        # b_owners for all unique-valued elements
     groups: list[tuple[list[int], list[int]]]  # (c positions, BA-side owners) per duplicated value
-    total: int                # product of multiplicity factorials
 
 
 def _labeling_plan(inst: EddInstance) -> _LabelingPlan:
@@ -567,15 +563,13 @@ def _labeling_plan(inst: EddInstance) -> _LabelingPlan:
     base_b = np.empty(n, dtype=np.int64)
     base_b[order_a] = ob[order_b]  # identity matching per value group
 
-    total = 1
     groups: list[tuple[list[int], list[int]]] = []
     for g in np.flatnonzero(sizes > 1).tolist():
         s, m = int(starts[g]), int(sizes[g])
-        total *= math.factorial(m)
         cpos = order_a[s:s + m].tolist()
         owners = ob[order_b[s:s + m]].tolist()
         groups.append((cpos, owners))
-    return _LabelingPlan(fa, oa, copy_ids, base_b, groups, total)
+    return _LabelingPlan(fa, oa, copy_ids, base_b, groups)
 
 
 def label_duplicates(inst: EddInstance,
@@ -589,8 +583,10 @@ def label_duplicates(inst: EddInstance,
     up front if the total exceeds ``max_assignments``.
     """
     plan = _labeling_plan(inst)
-    if max_assignments is not None and plan.total > max_assignments:
-        raise AssignmentCapExceeded(plan.total, max_assignments)
+    if max_assignments is not None:
+        total = count_assignments(inst)
+        if total > max_assignments:
+            raise AssignmentCapExceeded(total, max_assignments)
     return (_labeling(inst, plan, combo)
             for combo in product(*(permutations(range(len(cpos))) for cpos, _ in plan.groups)))
 

@@ -107,14 +107,13 @@ class SolutionFamily:
     layout: ``block_sizes()`` and ``expansion_count`` measure that, and
     ``induced_index_arrays()`` gives pi_a / pi_b of the canonical
     expansion.  The family is stored in the lexicographically smaller of
-    the two reading directions (``canonical_orientation``)."""
+    the two reading directions."""
 
     labeled: LabeledInstance
     order: np.ndarray
     block_starts: np.ndarray
     block_ends: np.ndarray
     block_attach: np.ndarray   # contracted node id per block
-    canonical_orientation: bool = True
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple((self.block_ends - self.block_starts).tolist())
@@ -218,7 +217,7 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
     """
     if not verdict.is_tree or verdict.violation is not None:
         raise ValueError("dangler-first search requires a violation-free verdict")
-    pay = verdict._payload
+    pay = verdict.payload
     lab = g.labeled
     empty = np.empty(0, dtype=np.int64)
     if pay.single:
@@ -479,10 +478,14 @@ def solve(inst: EddInstance, *,
     the rest still match the full enumeration order of
     ``label_duplicates``.  Each is screened with the linear pipeline, and
     families with equal ``family_key()`` are reported once, keyed by the
-    first assignment id that produced them.  The labeling behind the
-    first violation is kept for naming its witness.  ``first_only`` stops
-    at the first family (existence checks).
+    first assignment id that produced them; the keys are built only once
+    a second family appears.  The labeling behind the first violation is
+    kept for naming its witness.  ``first_only`` stops at the first
+    family (existence checks).  ``max_assignments`` must be at least 1
+    or None (no cap).
     """
+    if max_assignments is not None and max_assignments < 1:
+        raise ValueError(f"max_assignments must be at least 1, got {max_assignments}")
     families: list[tuple[int, SolutionFamily]] = []
     seen_keys: set = set()
     first_violation = violation_labeling = None
@@ -494,10 +497,14 @@ def solve(inst: EddInstance, *,
             if first_violation is None:
                 first_violation, violation_labeling = out.violation, lab
             continue
-        key = out.family_key()
-        if key not in seen_keys:
+        if families:
+            if not seen_keys:
+                seen_keys.add(families[0][1].family_key())
+            key = out.family_key()
+            if key in seen_keys:
+                continue
             seen_keys.add(key)
-            families.append((aid, out))
-            if first_only:
-                break
+        families.append((aid, out))
+        if first_only:
+            break
     return SolveResult(families, tried, first_violation, violation_labeling)

@@ -27,11 +27,11 @@ def reference_structure(g: DigestGraph) -> StructureVerdict:
     """The reference engine's verdict, wrapped like ``check_structure``'s."""
     result = _check_python(g)
     if isinstance(result, StructureViolation):
-        return StructureVerdict(result.kind == DEEP_SUBTREE, result, g, None)
+        return StructureVerdict(result.kind == DEEP_SUBTREE, result, None)
     if isinstance(result, tuple):
         payload, violation = result
-        return StructureVerdict(True, violation, g, payload)
-    return StructureVerdict(True, None, g, result)
+        return StructureVerdict(True, violation, payload)
+    return StructureVerdict(True, None, result)
 
 
 def _adjacency(g: DigestGraph):
@@ -77,9 +77,8 @@ def _check_python(g: DigestGraph):
     violation) pair for a tree with a deep subtree."""
     p, q, n = g.p, g.q, g.n
     if n == 1:
-        return _TreePayload(True, np.empty(0, np.int64), np.empty(0, np.int64),
-                            np.empty(0, np.int64), np.empty(0, np.int64),
-                            np.empty(0, np.int64), 0, 0, p, 0)
+        empty = np.empty(0, np.int64)
+        return _TreePayload(True, empty, empty, empty, empty)
     nn = p + q
     adj = _adjacency(g)
 
@@ -132,13 +131,13 @@ def _check_python(g: DigestGraph):
         if len(adj[leaf]) != 1:
             deep.append(k)
         else:
-            pendants.append((pos[att], k, leaf))
+            pendants.append((pos[att], k))
 
     complete = len(edges) + len(pendants) == n
     # the two diameter terminals join the end blocks like any other pendant
-    pendants.append((0, edges[0], e2))
-    pendants.append((len(spine) - 1, edges[-1], e1))
-    payload = _payload_from_parts(g, spine, edges, pendants, e2, e1)
+    pendants.append((0, edges[0]))
+    pendants.append((len(spine) - 1, edges[-1]))
+    payload = _payload_from_parts(g, spine, edges, pendants)
     if deep:
         return payload, StructureViolation(DEEP_SUBTREE, (NodeRef("C", min(deep)),))
     if not complete:
@@ -146,15 +145,13 @@ def _check_python(g: DigestGraph):
     return payload
 
 
-def _payload_from_parts(g, spine, edges, pendants, e2, e1):
+def _payload_from_parts(g, spine, edges, pendants):
     lab = g.labeled
     pendants.sort(key=lambda t: (t[0], int(lab.values[t[1]]), int(lab.copy_ids[t[1]])))
     return _TreePayload(
         False,
         np.asarray(spine, dtype=np.int64),
         np.asarray(edges[1:-1], dtype=np.int64),
-        np.asarray([k for _, k, _ in pendants], dtype=np.int64),
-        np.asarray([i for i, _, _ in pendants], dtype=np.int64),
-        np.asarray([leaf for _, _, leaf in pendants], dtype=np.int64),
-        e2, edges[0], e1, edges[-1],
+        np.asarray([k for _, k in pendants], dtype=np.int64),
+        np.asarray([i for i, _ in pendants], dtype=np.int64),
     )

@@ -136,6 +136,18 @@ def test_solve_dump_graph(capsys, demo_file, tmp_path):
     assert "B2 C12#1" in lines
 
 
+@pytest.mark.parametrize("flags", [
+    ("--max-assignments", "-3"),
+    ("--max-assignments", "0"),
+    ("--max-solutions", "-1"),
+])
+def test_solve_rejects_out_of_range_caps(capsys, dup_file, flags):
+    code = main(["solve", dup_file, *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and flags[0] in captured.err
+
+
 def test_verify_valid_and_invalid(capsys, demo_file):
     code, out = run(capsys, "verify", demo_file, "--pa", "1 2 3 5 4", "--pb", "1,2,3")
     assert code == 0 and out == "valid\n"

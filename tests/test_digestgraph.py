@@ -1,12 +1,15 @@
 from collections import deque
 
+import numpy as np
 import pytest
 
+import edd
 from edd.digestgraph import (
     DEEP_SUBTREE,
     HAS_CYCLE,
     NOT_CONNECTED,
     NodeRef,
+    _contracted_ref,
     build_graph,
     check_structure,
     export_edges,
@@ -36,21 +39,30 @@ def names(g, refs):
     return [g.node_name(r) for r in refs]
 
 
+def c_names(g, ks):
+    return [g.node_name(NodeRef("C", k)) for k in ks.tolist()]
+
+
+def fragment_names(g, nodes):
+    return [g.node_name(_contracted_ref(g.p, x)) for x in nodes.tolist()]
+
+
+PAYLOAD_ARRAYS = ("spine", "links", "pend_c", "pend_pos")
+
+
 def test_demo_graph_counts_and_adjacency():
     g = graph_of(demo_instance())
-    assert g.node_count == 15
-    assert g.edge_count == 14
-    values = {int(g.labeled.values[k]) for k in g.b_incident(1)}
-    assert values == {3, 8, 12, 15}
-    assert [len(g.a_incident(i)) for i in range(5)] == [2, 1, 1, 1, 2]
+    assert (g.p, g.q, g.n) == (5, 3, 7)
+    assert set(g.labeled.values[g.b_owners == 1].tolist()) == {3, 8, 12, 15}
+    assert np.bincount(g.a_owners, minlength=g.p).tolist() == [2, 1, 1, 1, 2]
 
 
 def test_single_fragment_graph_is_path():
     g = graph_of(EddInstance((5,), (5,), ((5,),), ((5,),)))
     v = check_structure(g)
     assert v.is_tree and v.violation is None
-    assert names(g, v.diameter) == ["A1", "C5#1", "B1"]
-    assert v.danglers == {}
+    assert v.payload.single
+    assert all(len(getattr(v.payload, name)) == 0 for name in PAYLOAD_ARRAYS)
 
 
 def test_build_graph_rejects_inconsistent_count():
@@ -63,12 +75,12 @@ def test_demo_structure_verdict():
     g = graph_of(demo_instance())
     v = check_structure(g)
     assert v.is_tree and v.violation is None
-    assert names(g, v.diameter) == [
-        "B1", "C6#1", "A1", "C3#1", "B2", "C8#1", "A5", "C29#1", "B3", "C17#1", "A4"]
-    danglers = {g.node_name(k): [(g.node_name(c), g.node_name(l)) for c, l in pairs]
-                for k, pairs in v.danglers.items()}
-    assert danglers == {"B2": [("C12#1", "A2"), ("C15#1", "A3")]}
-    assert v.diameter_node_count + 2 * v.dangler_count == 2 * g.n + 1
+    pay = v.payload
+    # diameter B1 C6 A1 C3 B2 C8 A5 C29 B3 C17 A4; C12 and C15 dangle off B2
+    assert fragment_names(g, pay.spine) == ["A1", "B2", "A5", "B3"]
+    assert c_names(g, pay.links) == ["C3#1", "C8#1", "C29#1"]
+    assert c_names(g, pay.pend_c) == ["C6#1", "C12#1", "C15#1", "C17#1"]
+    assert pay.pend_pos.tolist() == [0, 1, 1, 3]
 
 
 def test_dup_assignment_cycle_witness():
@@ -79,7 +91,7 @@ def test_dup_assignment_cycle_witness():
     assert v.violation.kind == HAS_CYCLE
     assert len(v.violation.nodes) == 4
     assert set(names(g, v.violation.nodes)) == {"A1", "C6#1", "B5", "C7#1"}
-    assert v.diameter is None and v.danglers is None
+    assert v.payload is None
 
 
 def test_disconnected_verdicts():
@@ -101,7 +113,7 @@ def test_deep_subtree_verdict():
     assert v.is_tree
     assert v.violation.kind == DEEP_SUBTREE
     assert v.violation.nodes[0].kind == "C"
-    assert v.diameter is not None and v.danglers is None
+    assert v.payload is not None
 
 
 def _naive_distances(g):
@@ -140,7 +152,8 @@ def test_diameter_is_longest_path(seed):
             continue
         dist = _naive_distances(g)
         longest = max(max(d.values()) for d in dist.values())
-        assert len(v.diameter) - 1 == longest
+        pay = v.payload
+        assert (2 if pay.single else 2 * len(pay.spine) + 2) == longest
 
 
 def assert_cycle_witness(g, nodes):
@@ -158,12 +171,15 @@ def assert_cycle_witness(g, nodes):
 
 def assert_matches_reference(g):
     """The engine against the plain breadth-first reference: equal
-    diameter, danglers and witnesses; any cycle may serve as witness."""
+    payload arrays and witnesses; any cycle may serve as witness."""
     got = check_structure(g)
     want = reference_structure(g)
     assert got.is_tree == want.is_tree
-    assert got.diameter == want.diameter
-    assert got.danglers == want.danglers
+    assert (got.payload is None) == (want.payload is None)
+    if want.payload is not None:
+        assert got.payload.single == want.payload.single
+        for name in PAYLOAD_ARRAYS:
+            assert np.array_equal(getattr(got.payload, name), getattr(want.payload, name)), name
     assert (got.violation is None) == (want.violation is None)
     if want.violation is None:
         return
@@ -199,7 +215,7 @@ def test_node_accounting_invariant():
             g = build_graph(lab)
             v = check_structure(g)
             if v.violation is None:
-                assert v.diameter_node_count + 2 * v.dangler_count == 2 * g.n + 1
+                assert len(v.payload.links) + len(v.payload.pend_c) == g.n
 
 
 def test_engine_tiny_star():
@@ -209,7 +225,10 @@ def test_engine_tiny_star():
     assert_matches_reference(g)
     v = check_structure(g)
     assert v.violation is None
-    assert v.dangler_count == 1  # third pendant; two serve as diameter ends
+    # one spine node, the hub, carries all three pendants; two of them
+    # serve as the diameter's ends
+    assert v.payload.spine.tolist() == [0]
+    assert v.payload.pend_pos.tolist() == [0, 0, 0]
 
 
 def test_export_edges_golden():
@@ -220,3 +239,7 @@ def test_export_edges_golden():
     assert len(lines) == 14
     assert lines[0] == "A1 C3#1"
     assert "B2 C12#1" in lines
+
+
+def test_package_exports_resolve():
+    assert [name for name in edd.__all__ if not hasattr(edd, name)] == []

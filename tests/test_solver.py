@@ -10,6 +10,7 @@ from edd.solver import (
     NoSolution,
     NotConsecutiveError,
     Solution,
+    SolutionFamily,
     _reversed_groups,
     canonical_key,
     canonicalize_solution,
@@ -83,7 +84,6 @@ def test_demo_family_slots():
         ("fixed", (29,), None),
         ("fixed", (17,), None),
     ]
-    assert fam.canonical_orientation
     assert fam.expansion_count == 2
 
 
@@ -122,9 +122,9 @@ def test_reversed_pendant_order_matches_lexsort():
         for lab in label_duplicates(inst):
             g = build_graph(lab)
             verdict = check_structure(g)
-            if verdict._payload is None or verdict._payload.single:
+            if verdict.payload is None or verdict.payload.single:
                 continue
-            pay = verdict._payload
+            pay = verdict.payload
             rpos = (len(pay.spine) - 1) - pay.pend_pos
             want = np.lexsort((lab.copy_ids[pay.pend_c], lab.values[pay.pend_c], rpos))
             got = _reversed_groups(pay.pend_pos)
@@ -316,6 +316,26 @@ def test_solve_assignment_cap():
     inst = multi_dup_instance()
     with pytest.raises(AssignmentCapExceeded):
         solve(inst, max_assignments=3)
+
+
+def test_solve_rejects_non_positive_assignment_cap():
+    for cap in (0, -3):
+        with pytest.raises(ValueError):
+            solve(demo_instance(), max_assignments=cap)
+
+
+def test_family_key_only_built_to_compare(monkeypatch):
+    calls = []
+    original = SolutionFamily.family_key
+    monkeypatch.setattr(SolutionFamily, "family_key",
+                        lambda fam: calls.append(fam) or original(fam))
+    assert len(solve(demo_instance())) == 1   # duplicate-free
+    assert len(solve(dup_instance())) == 1     # one solvable assignment
+    assert calls == []
+    # the first family's key is built once a second family appears
+    res = solve(multi_dup_instance())
+    assert len(res) == 2
+    assert calls[0] is res[0][1]
 
 
 def _duplicate_heavy_instances():

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from enum import IntEnum
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -95,6 +96,21 @@ def _parse_index_list(text: str, count: int, name: str) -> np.ndarray:
     return idx
 
 
+def _read_orders(path: str, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The PA and PB lines of a solution file as 0-based index arrays."""
+    found = {}
+    for line_no, raw in enumerate(_read_file(path).splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] not in ("PA", "PB"):
+            raise ValueError(f"line {line_no}: expected PA or PB line")
+        found[tokens[0]] = " ".join(tokens[1:])
+    if len(found) < 2:
+        raise ValueError("solution file needs PA and PB lines")
+    return _parse_index_list(found["PA"], p, "PA"), _parse_index_list(found["PB"], q, "PB")
+
+
 def _family_slots(fam: SolutionFamily, values: list) -> list:
     """The family's JSON slots, in one pass over its values and block spans."""
     p = fam.labeled.base.p
@@ -119,19 +135,78 @@ def _family_notation(fam: SolutionFamily, values: list) -> str:
     return " ".join(tokens)
 
 
-def _solution_lines(out: _Output, inst: EddInstance, sol) -> dict | None:
-    """Print one layout, or return its JSON record under ``--json``."""
-    a_values, b_values = sol.a_values(inst), sol.b_values(inst)
-    pa_idx = [i + 1 for i in sol.pi_a]
-    pb_idx = [j + 1 for j in sol.pi_b]
+def _text(tokens: list) -> str:
+    return " ".join(map(str, tokens))
+
+
+def _layout_tokens(inst: EddInstance, pi_a: np.ndarray, pi_b: np.ndarray,
+                   c_values: np.ndarray | None) -> list[np.ndarray]:
+    """A layout's lines as token arrays: piA, piB, paIdx, pbIdx (and piC under --json)."""
+    a_len, b_len = inst._length_arrays()
+    tokens = [a_len[pi_a], b_len[pi_b], pi_a + 1, pi_b + 1]
+    return tokens if c_values is None else tokens + [c_values]
+
+
+def _family_layouts(inst: EddInstance, expansion, as_json: bool):
+    """Each layout of ``expansion`` as its lines, text or (``--json``)
+    lists.  A block holds one segment of the pi it permutes and its span
+    of the C-order, so each line is held as parts: fixed stretches
+    formatted once, and a hole per block that each odometer move refills
+    with the block's order, formatted the first time it is reached."""
+    if as_json:
+        fmt, join = list, lambda parts: list(chain.from_iterable(parts))
+    else:
+        fmt, join = _text, " ".join
+    fam = expansion.family
+    tokens = _layout_tokens(inst, *fam.induced_index_arrays(),
+                            fam.c_value_array() if as_json else None)
+    if len(expansion) == 1:
+        yield [fmt(line.tolist()) for line in tokens]
+        return
+    at_a = (fam.block_attach < inst.p).tolist()
+    spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist(),
+                     fam.block_segments().tolist()))
+    lines, holes = [], [[] for _ in spans]   # holes: block -> its (line, part)s
+    for li, line in enumerate(tokens):
+        parts, pos = [], 0
+        for k, (s, e, t) in enumerate(spans):
+            if li < 4 and at_a[k] != li % 2:   # piA and paIdx hold the blocks at B-nodes
+                continue
+            start, end = (s, e) if li == 4 else (t, t + e - s)
+            if pos < start:
+                parts.append(fmt(line[pos:start].tolist()))
+            holes[k].append((li, len(parts)))
+            parts.append(fmt(line[start:end].tolist()))
+            pos = end
+        if pos < len(line) or not parts:
+            parts.append(fmt(line[pos:].tolist()))
+        lines.append(parts)
+    # per block, by rank of its order: the texts of its holes
+    chunks = [[tuple(lines[li][at] for li, at in h)] for h in holes]
+
+    yield [join(parts) for parts in lines]
+    ranks = [0] * len(spans)
+    for k, order in expansion.steps():
+        ranks[k] += 1
+        if ranks[k] == len(chunks[k]):
+            owners = fam.labeled.b_owners if at_a[k] else fam.labeled.a_owners
+            idx, val = fmt((owners[expansion.placed(k, order)] + 1).tolist()), fmt(order)
+            chunks[k].append(tuple(idx if li in (2, 3) else val for li, _at in holes[k]))
+        for b in range(k, len(spans)):
+            if b > k:
+                ranks[b] = 0   # later blocks are back in ascending order
+            for (li, at), text in zip(holes[b], chunks[b][ranks[b]]):
+                lines[li][at] = text
+        yield [join(parts) for parts in lines]
+
+
+def _emit_layout(out: _Output, i: int, lines: list, records: list | None):
+    """Print one layout, or add its JSON record to ``records`` under ``--json``."""
     if out.as_json:
-        return {"piA": list(a_values), "piB": list(b_values),
-                "paIdx": pa_idx, "pbIdx": pb_idx, "piC": list(sol.c_values())}
-    out.line("piA: " + " ".join(map(str, a_values)))
-    out.line("piB: " + " ".join(map(str, b_values)))
-    out.line("paIdx: " + " ".join(map(str, pa_idx)))
-    out.line("pbIdx: " + " ".join(map(str, pb_idx)))
-    return None
+        records.append(dict(zip(("piA", "piB", "paIdx", "pbIdx", "piC"), lines)))
+    else:
+        out.line(f"solution: {i}\npiA: {lines[0]}\npiB: {lines[1]}"
+                 f"\npaIdx: {lines[2]}\npbIdx: {lines[3]}")
 
 
 def _violation_json(v, graph) -> dict | None:
@@ -214,16 +289,12 @@ def cmd_solve(args, out: _Output) -> int:
                                                      for k in fam.block_sizes()),
                     "solutions": []}
             fam_payload.append(info)
-        expand_this = args.all or idx == 0
-        if expand_this and budget > 0:
+        if (args.all or idx == 0) and budget > 0:
             expansion = expand_family(fam, max_expansions=budget if args.all else 1)
-            for i, sol in enumerate(expansion, start=1):
-                out.line(f"solution: {i}")
-                record = _solution_lines(out, inst, sol)
-                if out.as_json:
-                    info["solutions"].append(record)
+            for i, lines in enumerate(_family_layouts(inst, expansion, out.as_json), start=1):
+                _emit_layout(out, i, lines, info.get("solutions"))
             if args.all:
-                budget -= len(expansion.solutions)
+                budget -= len(expansion)
                 if expansion.truncated:
                     truncated = True
         elif args.all:
@@ -237,10 +308,17 @@ def cmd_solve(args, out: _Output) -> int:
 
 
 def cmd_verify(args, out: _Output) -> int:
+    if args.orders is not None and (args.pa, args.pb) != (None, None):
+        return _fail("--orders cannot be combined with --pa/--pb", ExitStatus.USAGE)
+    if args.orders is None and None in (args.pa, args.pb):
+        return _fail("verify needs --pa and --pb, or --orders", ExitStatus.USAGE)
     inst = _load_instance(args.file)
     try:
-        pa = _parse_index_list(args.pa, inst.p, "--pa")
-        pb = _parse_index_list(args.pb, inst.q, "--pb")
+        if args.orders is not None:
+            pa, pb = _read_orders(args.orders, inst.p, inst.q)
+        else:
+            pa = _parse_index_list(args.pa, inst.p, "--pa")
+            pb = _parse_index_list(args.pb, inst.q, "--pb")
     except ValueError as err:
         return _fail(str(err), ExitStatus.USAGE)
     verdict = verify_permutation(inst, pa, pb)
@@ -258,9 +336,12 @@ def cmd_oracle(args, out: _Output) -> int:
         return _fail(str(err), ExitStatus.CAP_EXCEEDED)
     out.line(f"solutions: {len(solutions)}")
     payload = []
+    fmt = list if out.as_json else _text
     for i, sol in enumerate(solutions, start=1):
-        out.line(f"solution: {i}")
-        payload.append(_solution_lines(out, inst, sol))
+        tokens = _layout_tokens(inst, np.array(sol.pi_a, dtype=np.int64),
+                                np.array(sol.pi_b, dtype=np.int64),
+                                np.array(sol.c_values()) if out.as_json else None)
+        _emit_layout(out, i, [fmt(line.tolist()) for line in tokens], payload)
     out.payload = {"solutions": payload}
     out.emit_json()
     return int(ExitStatus.OK if solutions else ExitStatus.NO_SOLUTION)
@@ -287,14 +368,8 @@ def cmd_gen(args, out: _Output) -> int:
             inst, truth = random_instance(args.seed, args.p, args.q, args.total,
                                           min_duplicates=args.min_duplicates,
                                           duplicate_free=args.duplicate_free)
-            bounds_a = [0]
-            for i in truth.pi_a[:-1]:
-                bounds_a.append(bounds_a[-1] + inst.a_lengths[i])
-            cuts_a = tuple(bounds_a[1:])
-            bounds_b = [0]
-            for j in truth.pi_b[:-1]:
-                bounds_b.append(bounds_b[-1] + inst.b_lengths[j])
-            cuts_b = tuple(bounds_b[1:])
+            cuts_a = tuple(accumulate(inst.a_lengths[i] for i in truth.pi_a[:-1]))
+            cuts_b = tuple(accumulate(inst.b_lengths[j] for j in truth.pi_b[:-1]))
     except (ValueError, InfeasibleParams) as err:
         return _fail(str(err), ExitStatus.USAGE)
 
@@ -302,9 +377,8 @@ def cmd_gen(args, out: _Output) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        if not out.quiet and not out.as_json:
-            sys.stdout.write(text)
+    elif not out.quiet and not out.as_json:
+        sys.stdout.write(text)
     if args.sidecar:
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             fh.write("GT-A " + " ".join(map(str, cuts_a)) + "\n")
@@ -320,9 +394,9 @@ def cmd_reduce_hp(args, out: _Output) -> int:
     lines = [serialize_instance(red.instance).rstrip("\n")]
     for i, v in enumerate(red.a_nodes, start=1):
         lines.append(f"# node A{i} = {red.node_label(v)}")
-    for j, (v, copy) in enumerate(red.b_nodes, start=1):
-        label = red.node_label(v) if copy == 0 else f"{red.node_label(v)}({copy})"
-        lines.append(f"# node B{j} = {label}")
+    b_labels = [red.node_label(v) if c == 0 else f"{red.node_label(v)}({c})"
+                for v, c in red.b_nodes]
+    lines += [f"# node B{j} = {label}" for j, label in enumerate(b_labels, start=1)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -331,36 +405,16 @@ def cmd_reduce_hp(args, out: _Output) -> int:
         sys.stdout.write(text)
     out.payload = {"instance": serialize_instance(red.instance),
                    "aNodes": [red.node_label(v) for v in red.a_nodes],
-                   "bNodes": [red.node_label(v) if c == 0 else f"{red.node_label(v)}({c})"
-                              for v, c in red.b_nodes]}
+                   "bNodes": b_labels}
     out.emit_json()
     return int(ExitStatus.OK)
-
-
-def _parse_solution_file(text: str):
-    pa = pb = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] == "PA":
-            pa = tokens[1:]
-        elif tokens[0] == "PB":
-            pb = tokens[1:]
-        else:
-            raise ValueError(f"line {line_no}: expected PA or PB line")
-    if pa is None or pb is None:
-        raise ValueError("solution file needs PA and PB lines")
-    return " ".join(pa), " ".join(pb)
 
 
 def cmd_extract_hp(args, out: _Output) -> int:
     h = parse_graph(_read_file(args.graphfile))
     red = reduce_graph(h)
     try:
-        pa_text, pb_text = _parse_solution_file(_read_file(args.solutionfile))
-        pa = _parse_index_list(pa_text, red.instance.p, "PA")
-        pb = _parse_index_list(pb_text, red.instance.q, "PB")
+        pa, pb = _read_orders(args.solutionfile, red.instance.p, red.instance.q)
     except ValueError as err:
         return _fail(str(err), ExitStatus.USAGE)
     verdict = verify_permutation(red.instance, pa, pb)
@@ -424,8 +478,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", parents=[common], help="check one candidate ordering")
     s.add_argument("file")
-    s.add_argument("--pa", required=True, help="1-based A-fragment order")
-    s.add_argument("--pb", required=True, help="1-based B-fragment order")
+    s.add_argument("--pa", help="1-based A-fragment order")
+    s.add_argument("--pb", help="1-based B-fragment order")
+    s.add_argument("--orders", metavar="ORDERS",
+                   help="read both orders from a file of PA and PB lines instead")
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("oracle", parents=[common],

@@ -39,10 +39,13 @@ class ParseError(ValueError):
 
 
 class AssignmentCapExceeded(RuntimeError):
-    """Too many duplicate assignments to enumerate under the given cap."""
+    """Too many duplicate assignments to enumerate under the given cap.
+    With ``distinct``, counting stopped once it passed the cap, so
+    ``count`` is only a lower bound."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} duplicate assignments exceed cap {cap}")
+    def __init__(self, count: int, cap: int, *, distinct: bool = False):
+        super().__init__(f"more than {cap} distinct duplicate assignments (cap {cap})"
+                         if distinct else f"{count} duplicate assignments exceed cap {cap}")
         self.count = count
         self.cap = cap
 

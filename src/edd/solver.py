@@ -150,6 +150,16 @@ class SolutionFamily:
         pi_b = _dedupe_runs(lab.b_owners[self.order], lab.base.q, "B")
         return pi_a, pi_b
 
+    def block_segments(self) -> np.ndarray:
+        """Where each block starts in the fragment order it permutes: each
+        member of a block at an A-node has a single-piece B-fragment, so
+        the block holds ``pi_b[t:t + size]`` of the canonical expansion
+        (pi_a for a B-node), and stepping it changes nothing else."""
+        lab = self.labeled
+        a_runs, b_runs = (np.cumsum(np.diff(owners, prepend=owners[:1]) != 0)[self.block_starts]
+                          for owners in (lab.a_owners[self.order], lab.b_owners[self.order]))
+        return np.where(self.block_attach < lab.base.p, b_runs, a_runs)
+
 
 def _dedupe_runs(owners: np.ndarray, count: int, kind: str) -> np.ndarray:
     if not len(owners):
@@ -263,18 +273,6 @@ def solve_labeled(inst: LabeledInstance) -> SolutionFamily | NoSolution:
     return dangler_first_search(g, verdict)
 
 
-@dataclass(eq=False)
-class FamilyExpansion:
-    solutions: tuple[Solution, ...]
-    truncated: bool
-
-    def __iter__(self) -> Iterator[Solution]:
-        return iter(self.solutions)
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-
 def _next_permutation(arr: list[int]) -> bool:
     """Step ``arr`` to its next lexicographic ordering in place, equal
     items counting as one; past the last one, reset it to ascending and
@@ -291,46 +289,79 @@ def _next_permutation(arr: list[int]) -> bool:
     return i >= 0
 
 
+class FamilyExpansion:
+    """A family's distinct layouts, at most ``max_expansions`` of them,
+    streamed from one multiset odometer over its blocks; none is held.
+
+    The family has the product over its blocks of k! / prod(m_v!)
+    distinct layouts (k values with multiplicities m_v), so ``len()`` and
+    ``truncated`` are known before iteration.  The first layout is the
+    canonical expansion; ``steps()`` gives the moves to the others, and
+    iterating gives every layout as a Solution.
+    """
+
+    def __init__(self, family: SolutionFamily, max_expansions: int):
+        self.family = family
+        starts, ends, values = family.block_starts, family.block_ends, family.labeled.values
+        count = 1   # distinct layouts, counted until they pass the cap
+        for k in range(len(starts)):   # a block's distinct orders: k! / prod(m_v!)
+            m = Counter(values[family.order[starts[k]:ends[k]]].tolist())
+            count *= math.factorial(m.total()) // math.prod(map(math.factorial, m.values()))
+            if count > max_expansions:
+                break
+        self._len = min(count, max_expansions)
+        self.truncated = count > max_expansions
+
+    def __len__(self) -> int:
+        return self._len
+
+    def steps(self) -> Iterator[tuple[int, list[int]]]:
+        """The odometer's move to each layout after the first: block k
+        steps to the next lexicographic permutation of its values, the
+        last block fastest, and every later block goes back to ascending.
+        Yields k and block k's values in their new order, a list that the
+        next move changes in place."""
+        fam = self.family
+        orders: dict[int, list[int]] = {}   # block -> its values, as stepped so far
+        for _ in range(len(self) - 1):
+            for k in range(len(fam.block_starts) - 1, -1, -1):
+                if k not in orders:
+                    block = fam.order[fam.block_starts[k]:fam.block_ends[k]]
+                    orders[k] = fam.labeled.values[block].tolist()
+                if _next_permutation(orders[k]):
+                    break
+            yield k, orders[k]
+
+    def placed(self, k: int, order: list[int]) -> np.ndarray:
+        """Block k's C-indices in the value order ``order``: the block
+        ascends by (value, copy), and the t-th copy of a value takes
+        that value's t-th place."""
+        canonical = self.family.order[self.family.block_starts[k]:self.family.block_ends[k]]
+        members = np.empty_like(canonical)
+        members[np.argsort(order, kind="stable")] = canonical
+        return members
+
+    def __iter__(self) -> Iterator[Solution]:
+        fam, layout = self.family, self.family.order.copy()
+        elems = fam.labeled.c_elements
+        if len(self):
+            yield induced_permutation(elems.take(layout), fam.labeled)
+        for k, order in self.steps():
+            s, e = fam.block_starts[k], fam.block_ends[k]
+            layout[s:e] = self.placed(k, order)
+            layout[e:] = fam.order[e:]   # later blocks back in ascending order
+            yield induced_permutation(elems.take(layout), fam.labeled)
+
+
 def expand_family(fam: SolutionFamily,
                   max_expansions: int = DEFAULT_MAX_EXPANSIONS) -> FamilyExpansion:
-    """Enumerate the family's distinct layouts into Solutions.
-
-    A multiset odometer over the blocks of ``fam.order``: each block
-    steps through the next lexicographic permutation of its values, the
-    last block varying fastest, and the copies of an equal value keep
-    their ascending order.  The members of a block hang off one spine
-    node, each with a single-piece fragment of its own length on the
-    other side, so equal values are interchangeable: every distinct
-    layout comes exactly once, where it first comes in
-    ``itertools.product`` order over the block positions, and the cost
-    follows the number of distinct layouts.  Each layout's C-ordering
-    gathers the instance's columns; pi_a / pi_b come from its owner
-    columns.  Enumeration stops at the cap with ``truncated`` set.
-    """
-    inst = fam.labeled
-    elems = inst.c_elements
-    values = inst.values[fam.order]
-    spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist()))
-    blocks: dict[int, list[int]] = {}   # block -> its values, as stepped so far
-    at = np.arange(len(fam.order))      # the layout, as positions in fam.order
-    solutions: list[Solution] = []
-    while len(solutions) < max_expansions:
-        solutions.append(induced_permutation(elems.take(fam.order[at]), inst))
-        # advance the last block; a block that wraps around carries into the one before
-        for k in range(len(spans) - 1, -1, -1):
-            s, e = spans[k]
-            if k not in blocks:
-                blocks[k] = values[s:e].tolist()
-            block = blocks[k]
-            stepped = _next_permutation(block)
-            # a block of fam.order ascends by (value, copy), so the t-th
-            # copy of a value takes that value's t-th position
-            at[s + np.argsort(block, kind="stable")] = np.arange(s, e)
-            if stepped:
-                break
-        else:
-            return FamilyExpansion(tuple(solutions), False)
-    return FamilyExpansion(tuple(solutions), True)
+    """The family's distinct layouts up to the cap, lazily.  Members of a
+    block hang off one spine node, each with a single-piece fragment of
+    its own length on the other side, so equal values are
+    interchangeable: stepping each block through the permutations of
+    its values (a multiset) gives each distinct layout exactly once,
+    where it first comes in ``itertools.product`` order."""
+    return FamilyExpansion(fam, max_expansions)
 
 
 # --- duplicate assignments -------------------------------------------------
@@ -433,7 +464,7 @@ def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
         radices.append(math.factorial(len(cpos)))
         total *= len(matchings)
         if max_assignments is not None and total > max_assignments:
-            raise AssignmentCapExceeded(total, max_assignments)
+            raise AssignmentCapExceeded(total, max_assignments, distinct=True)
     suffix = [1] * (len(radices) + 1)
     for i in range(len(radices) - 1, -1, -1):
         suffix[i] = suffix[i + 1] * radices[i]

@@ -157,6 +157,45 @@ def test_verify_valid_and_invalid(capsys, demo_file):
     assert code == 2
 
 
+def test_verify_orders_file(capsys, demo_file, tmp_path):
+    orders = tmp_path / "orders.txt"
+    orders.write_text("# a valid layout\nPA 1 2 3 5 4\nPB 1 2 3\n")
+    assert run(capsys, "verify", demo_file, "--orders", str(orders)) == (0, "valid\n")
+    code, out = run(capsys, "verify", demo_file, "--orders", str(orders), "--json")
+    assert code == 0 and json.loads(out) == {"valid": True, "reason": None}
+    orders.write_text("PA 1 2 3 4 5\nPB 1 2 3\n")
+    code, out = run(capsys, "verify", demo_file, "--orders", str(orders))
+    assert code == 1 and out.startswith("invalid:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--orders", "ORDERS", "--pa", "1 2 3 5 4"], "--orders cannot be combined with --pa/--pb"),
+    (["--orders", "ORDERS", "--pb", "1 2 3"], "--orders cannot be combined with --pa/--pb"),
+    (["--pa", "1 2 3 5 4"], "verify needs --pa and --pb, or --orders"),
+    ([], "verify needs --pa and --pb, or --orders"),
+    (["--orders", "ORDERS"], "PA must be a permutation of 1..5"),
+    (["--orders", "MISSING"], "No such file"),
+])
+def test_verify_orders_usage_errors(capsys, demo_file, tmp_path, argv, message):
+    orders = tmp_path / "orders.txt"
+    orders.write_text("PA 1 2 3\nPB 1 2 3\n")
+    argv = [str(orders) if a == "ORDERS" else str(tmp_path / "none") if a == "MISSING" else a
+            for a in argv]
+    code = main(["verify", demo_file, *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_solve_distinct_assignment_cap_message(capsys, tmp_path):
+    # 87 distinct assignments; counting stops once it passes the cap
+    path = tmp_path / "dup8.edd"
+    assert main(["gen", "--seed", "8", "--p", "5", "--q", "5", "--total", "12",
+                 "--min-duplicates", "2", "--out", str(path)]) == 0
+    code, out = run(capsys, "solve", str(path), "--max-assignments", "10")
+    assert (code, out) == (3, "cap-exceeded: more than 10 distinct duplicate assignments (cap 10)\n")
+
+
 def test_oracle_single(capsys, tmp_path):
     path = tmp_path / "one.edd"
     path.write_text("EDD 1\nA 5\nB 5\nAB 1 5\nBA 1 5\n")
@@ -344,7 +383,7 @@ def test_solve_all_equal_leaf_star_prints_one_layout(tmp_path):
     assert "piB: " + " ".join(["7"] * 12) in proc.stdout.splitlines()
 
 
-def _edd_capped(argv):
+def _edd_capped(argv, stdout=subprocess.PIPE):
     """``edd`` in a child process whose address space is capped at 2 GB.
 
     The child reads its arguments from stdin, one per line, because a
@@ -357,8 +396,8 @@ def _edd_capped(argv):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     entry = "import sys; from edd.cli import main; sys.exit(main(sys.stdin.read().split('\\n')))"
-    return subprocess.run([sys.executable, "-c", entry], input="\n".join(argv),
-                          capture_output=True, text=True, preexec_fn=limit, timeout=600)
+    return subprocess.run([sys.executable, "-c", entry], input="\n".join(argv), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, preexec_fn=limit, timeout=600)
 
 
 def test_solve_big_maps_within_memory_cap(capsys, tmp_path):
@@ -382,6 +421,16 @@ def test_solve_big_maps_within_memory_cap(capsys, tmp_path):
         assert code == 0 and out == "valid\n"
 
 
+def test_solve_all_streams_big_map_within_memory_cap(tmp_path):
+    # 10,000 layouts of a 2x10^4-fragment map print about 4 GB: --all
+    # prints each layout as it is made and holds none of them
+    big = tmp_path / "big.edd"
+    big.write_text(serialize_instance(
+        random_instance(1, 10_001, 10_000, 4 * 10**17, duplicate_free=True)[0]))
+    proc = _edd_capped(["solve", str(big), "--all", "--emit-families"], stdout=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (3, "")   # 3: the 10,000-layout cap cut it short
+
+
 def test_solve_then_verify_at_1e5_within_memory_cap(tmp_path):
     # the whole file-to-answer path at 10^5 fragments, each step in a capped child
     path = tmp_path / "big.edd"
@@ -390,5 +439,7 @@ def test_solve_then_verify_at_1e5_within_memory_cap(tmp_path):
     solved = _edd_capped(["solve", str(path)])
     assert solved.returncode == 0, solved.stderr
     fields = dict(line.split(": ", 1) for line in solved.stdout.splitlines())
-    checked = _edd_capped(["verify", str(path), "--pa", fields["paIdx"], "--pb", fields["pbIdx"]])
+    orders = tmp_path / "orders.txt"
+    orders.write_text(f"PA {fields['paIdx']}\nPB {fields['pbIdx']}\n")
+    checked = _edd_capped(["verify", str(path), "--orders", str(orders)])
     assert (checked.returncode, checked.stdout) == (0, "valid\n"), checked.stderr

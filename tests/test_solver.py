@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -208,6 +209,40 @@ def test_expand_family_cap_truncates():
     fam = solve(inst)[0][1]
     exp = expand_family(fam, max_expansions=5)
     assert len(exp) == 5 and exp.truncated
+
+
+def test_expansion_length_known_before_iteration():
+    # 5, 5, 5, 7, 7, 9 in one block: 6! / (3! * 2!) = 60 distinct layouts
+    leaves = (5, 5, 5, 7, 7, 9)
+    inst = EddInstance((sum(leaves),), leaves, (leaves,), tuple((v,) for v in leaves))
+    (_aid, fam), = solve(inst)
+    for cap, truncated in ((60, False), (59, True), (10_000, False)):
+        exp = expand_family(fam, max_expansions=cap)
+        assert (len(exp), exp.truncated) == (min(cap, 60), truncated)
+        assert len(list(exp)) == len(exp)
+    two = solve(two_block_instance())[0][1]   # 3! * 2! = 12
+    for cap, truncated in ((12, False), (11, True)):
+        exp = expand_family(two, max_expansions=cap)
+        assert (len(exp), exp.truncated, len(list(exp))) == (cap, truncated, cap)
+
+
+def _expansion_peak(fam, cap: int) -> int:
+    """Peak traced bytes while expanding ``fam`` and iterating every layout."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _sol in expand_family(fam, max_expansions=cap))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == cap
+    return peak
+
+
+def test_expansion_memory_stays_at_a_few_layouts():
+    # 2x10^4 fragments: one layout holds about 2 MB of arrays, tuples and ints
+    inst = random_instance(1, 10_001, 10_000, 4 * 10**17, duplicate_free=True)[0]
+    (_aid, fam), = solve(inst)
+    assert _expansion_peak(fam, 200) < 3 * _expansion_peak(fam, 1)
 
 
 def eager_expansion(fam):

@@ -83,14 +83,23 @@ def _load_instance(path: str) -> EddInstance:
 
 
 def _parse_index_list(text: str, count: int, name: str) -> np.ndarray:
-    """A 1-based permutation of 1..count as 0-based int64 indices."""
-    tokens = text.replace(",", " ").split()
-    try:
-        idx = np.array(list(map(int, tokens)), dtype=np.int64) - 1
-    except ValueError:
-        raise ValueError(f"{name} must be a list of integers") from None
-    except OverflowError:   # beyond int64, so not an index
-        idx = None
+    """A 1-based permutation of 1..count as 0-based int64 indices.
+
+    Text of only digits, spaces and commas is read by one
+    ``np.fromstring``; any other text token by token with ``int()``.  A
+    number past int64 reads as 2^63 - 1 in the first and overflows in
+    the second, and either way is not an index.
+    """
+    spaced = text.replace(",", " ")
+    if spaced.isascii() and not spaced.encode().translate(None, b"0123456789 "):
+        idx = np.fromstring(spaced, dtype=np.int64, sep=" ") - 1   # " " reads as [0]: no permutation
+    else:
+        try:
+            idx = np.array(list(map(int, spaced.split())), dtype=np.int64) - 1
+        except ValueError:
+            raise ValueError(f"{name} must be a list of integers") from None
+        except OverflowError:   # beyond int64, so not an index
+            idx = None
     if idx is None or not _is_permutation(idx, count):
         raise ValueError(f"{name} must be a permutation of 1..{count}")
     return idx
@@ -100,12 +109,14 @@ def _read_orders(path: str, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The PA and PB lines of a solution file as 0-based index arrays."""
     found = {}
     for line_no, raw in enumerate(_read_file(path).splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
+        parts = raw.split("#", 1)[0].split(None, 1)
+        if not parts:
             continue
-        if tokens[0] not in ("PA", "PB"):
+        if parts[0] not in ("PA", "PB"):
             raise ValueError(f"line {line_no}: expected PA or PB line")
-        found[tokens[0]] = " ".join(tokens[1:])
+        if parts[0] in found:
+            raise ValueError(f"line {line_no}: duplicate {parts[0]} line")
+        found[parts[0]] = parts[1] if len(parts) > 1 else ""
     if len(found) < 2:
         raise ValueError("solution file needs PA and PB lines")
     return _parse_index_list(found["PA"], p, "PA"), _parse_index_list(found["PB"], q, "PB")

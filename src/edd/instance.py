@@ -288,21 +288,113 @@ def parse_instance(text: str) -> EddInstance:
     each index exactly once.  ``#`` starts a comment; blank lines are
     ignored.  Only syntax is checked here, not consistency.
 
-    One pass over the lines checks their kinds and keeps the text after
-    each kind; the indices and lengths of all lines are then read as one
-    int64 array and sorted into the instance's flats.  Any text that
-    bulk read cannot take exactly is read again token by token with
-    ``int()``, so values and ParseErrors (the first bad line, its line
-    number and message) are those of a line-by-line parse.
+    A document in plain shape, as ``serialize_instance`` writes it, is
+    read in a fixed number of whole-buffer passes, with no Python loop
+    over its lines (``_read_plain``).  Plain shape is ``EDD 1`` and a
+    newline, then the A line, the B line and the AB and BA lines, each
+    line starting with its kind and a space, and no byte other than
+    digits, spaces, newlines and the letters A and B.  Any other
+    document is read line by line (``_read_lines``), with the same
+    results and the same ParseErrors: the first bad line, its line
+    number and message.
+    """
+    return _assemble(*(_read_plain(text) or _read_lines(text)))
+
+
+_KINDS = ("A", "B", "AB", "BA")
+_TAGS = {kind: tag for tag, kind in enumerate(_KINDS)}
+_KIND_STARTS = tuple(b"\n%s " % kind.encode() for kind in _KINDS)
+# Each line's kind, read as a number: A and B become the digits 1 and 2,
+# and "-9" put at each line start gives the kind codes -91, -92, -912 and
+# -921, so a digit run into a kind, even a 0, changes its code.  The empty
+# line after the last newline reads as -9, the sentinel.  The header's
+# letters become spaces.
+_KIND_DIGITS = bytes.maketrans(b"ABED", b"12  ")
+_END = len(_KINDS)   # the sentinel's tag
+_CODE_TAGS = np.full(922, _END + 1, dtype=np.int8)   # -code -> tag; _END + 1: no kind
+_CODE_TAGS[[91, 92, 912, 921, 9]] = range(_END + 1)
+
+
+def _read_plain(text: str):
+    """(lengths, sizes, index, tags, p, q) of a document in plain shape
+    (see ``parse_instance``), read in whole-buffer passes; None for any
+    other document.
+
+    With the digits deleted, the counts of the line starts ``\\nA ``,
+    ``\\nB ``, ``\\nAB `` and ``\\nBA `` and of the letters show that
+    every line starts with its kind and that no other letter is in the
+    text.  One ``translate`` and one ``replace`` turn the kinds into
+    codes (see ``_KIND_DIGITS``), and one ``np.fromstring`` reads all the
+    numbers.  The codes mark the line starts, and the gaps between them
+    are the line sizes.  The codes by kind must match the counted line
+    starts, and the sentinel must be read last, so a short read cannot
+    pass.  fromstring reads a number beyond int64 as 2^63 - 1, so a 0 or
+    a 2^63 - 1 anywhere, an index out of range or repeated, or a missing
+    line gives None too: the line path names the error or reads exactly.
+    """
+    if not text.startswith("EDD 1\n") or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    shape = data.translate(None, b"0123456789")[4:]   # from the header's newline on
+    lines = shape.count(b"\n") - shape.endswith(b"\n")
+    kinds = [shape.count(start) for start in _KIND_STARTS]
+    letters = shape.translate(None, b" \n")
+    if (letters.translate(None, b"AB") or kinds[:2] != [1, 1] or sum(kinds) != lines
+            or len(letters) != lines + kinds[2] + kinds[3]):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    marked = data.translate(_KIND_DIGITS).replace(b"\n", b"\n-9")
+    del data
+    values = np.fromstring(marked, dtype=np.int64, sep=" ")[1:]   # [0] is the header's 1
+    del marked
+    marks = np.flatnonzero(values < 0)
+    codes = -values[marks]
+    if codes.max() >= len(_CODE_TAGS):
+        return None
+    tags = _CODE_TAGS[codes]
+    if (tags[-1] != _END or np.bincount(tags, minlength=_END + 2).tolist() != [*kinds, 1, 0]
+            or tags[0] != 0 or tags[1] != 1):
+        return None
+    if (values == 0).any() or (values == MAX_LENGTH).any():
+        return None
+    tags = tags[:-1]
+    indexed = tags >= 2
+    at = marks[:-1][indexed] + 1   # where each AB and BA index is
+    index = np.zeros(lines, dtype=np.int64)
+    index[indexed] = values[at]
+    sizes = np.diff(marks) - 1 - indexed
+    p, q = int(sizes[0]), int(sizes[1])
+    if not p or not q:
+        return None
+    for tag, count in ((2, p), (3, q)):
+        got = index[tags == tag]
+        if (kinds[tag] != count or got.min() < 1 or got.max() > count
+                or np.bincount(got).max() > 1):
+            return None
+    keep = np.ones(len(values), dtype=bool)
+    keep[marks] = False
+    keep[at] = False
+    return values[keep], sizes, index, tags, p, q
+
+
+def _read_lines(text: str):
+    """What ``_read_plain`` returns, for any document, or the ParseError
+    of a line-by-line parse.
+
+    One pass over the lines checks their kinds and keeps each line's
+    tokens.  The kept lines, joined in plain shape, go to ``_read_plain``;
+    what it cannot take exactly is read again token by token with
+    ``int()``, which also raises the first bad token's error.
     """
     lines = text.splitlines()
-    bodies: list[str] = []      # text after the kind of each A, B, AB and BA line
-    tags: list[int] = []        # the kinds, as indices into _KINDS
+    kept: list[str] = []        # each A, B, AB and BA line, its tokens joined by one space
+    tags: list[int] = []        # their kinds, as indices into _KINDS
     body_lines: list[int] = []
     limits: list = [None, None]   # length counts of the A and B lines
 
     def check_earlier_lines():
-        _exact_bodies(bodies, tags, body_lines, limits)   # raises for a bad one
+        _exact_bodies(kept, tags, body_lines, limits)   # raises for a bad one
 
     def error(line_no: int, message: str) -> ParseError:
         check_earlier_lines()   # a bad earlier line wins
@@ -318,33 +410,33 @@ def parse_instance(text: str) -> EddInstance:
             header_seen = True
             break
     for line_no, line in rows:
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split(None, 1)
-        if not parts:
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        kind = parts[0]
+        kind = tokens[0]
         tag = _TAGS.get(kind)
         if tag is None:
             raise error(line_no, f"unknown line kind {kind!r}")
         if tag >= 2:
-            if len(parts) < 2:
+            if len(tokens) < 2:
                 raise error(line_no, f"{kind} line needs an index")
             if limits[tag - 2] is None:
                 check_earlier_lines()
-                _index(kind, parts[1].split()[0], None, set(), line_no)   # raises
+                _index(kind, tokens[1], None, set(), line_no)   # raises
         else:
             if limits[tag] is not None:
                 raise error(line_no, f"duplicate {kind} line")
-            limits[tag] = len(parts[1].split()) if len(parts) > 1 else 0
+            limits[tag] = len(tokens) - 1
             if not limits[tag]:
                 raise error(line_no, f"{kind} line needs at least one length")
-        bodies.append(parts[1])
+        kept.append(" ".join(tokens))
         tags.append(tag)
         body_lines.append(line_no)
 
-    values, sizes, index = (_read_bodies(bodies, tags, limits)
-                            or _exact_bodies(bodies, tags, body_lines, limits))
+    read = _read_plain("\n".join(["EDD 1", *kept, ""]))
+    if read is not None:
+        return read
+    values, sizes, index = _exact_bodies(kept, tags, body_lines, limits)
     last_line = len(lines)
     if not header_seen:
         raise ParseError(last_line or 1, "missing 'EDD 1' header")
@@ -358,18 +450,7 @@ def parse_instance(text: str) -> EddInstance:
             got = {int(i) for i, t in zip(index, tags) if t == tag}
             missing = next(i for i in range(1, want + 1) if i not in got)
             raise ParseError(last_line, f"missing {_KINDS[tag]} line for index {missing}")
-
-    kinds = np.repeat(np.array(tags, dtype=np.int8), sizes)
-    owner = np.repeat(index - 1, sizes)
-    ab, ba = kinds == 2, kinds == 3
-    inst = EddInstance.__new__(EddInstance)
-    inst._init(values[kinds == 0], values[kinds == 1],
-               _grouped(values[ab], owner[ab], p), _grouped(values[ba], owner[ba], q))
-    return inst
-
-
-_KINDS = ("A", "B", "AB", "BA")
-_TAGS = {kind: tag for tag, kind in enumerate(_KINDS)}
+    return values, sizes, index, np.array(tags, dtype=np.int8), p, q
 
 
 def _index(kind: str, tok: str, limit: int | None, seen: set, line_no: int) -> int:
@@ -400,15 +481,15 @@ def _length(tok: str, line_no: int) -> int:
     return v
 
 
-def _exact_bodies(bodies: list[str], tags: list[int], body_lines: list[int], limits):
+def _exact_bodies(kept: list[str], tags: list[int], body_lines: list[int], limits):
     """Lengths, per-line length counts and indices (0 on A and B lines),
     read token by token with ``int()`` in file order; raises the
     ParseError of the first bad token."""
     values: list[int] = []
     sizes, index = [], []
     seen: tuple[set, set] = (set(), set())
-    for body, tag, line_no in zip(bodies, tags, body_lines):
-        tokens = body.split()
+    for line, tag, line_no in zip(kept, tags, body_lines):
+        tokens = line.split()[1:]
         idx = 0
         if tag >= 2:
             idx = _index(_KINDS[tag], tokens[0], limits[tag - 2], seen[tag - 2], line_no)
@@ -420,42 +501,17 @@ def _exact_bodies(bodies: list[str], tags: list[int], body_lines: list[int], lim
             np.array(index, dtype=np.int64))
 
 
-def _read_bodies(bodies: list[str], tags: list[int], limits):
-    """What ``_exact_bodies`` returns, read by one ``np.fromstring`` call
-    over the bodies joined by -1 markers (indices and lengths are at
-    least 1); None when that read may differ from ``int()``'s.
-
-    fromstring reads "+ 5" as 5 and any number beyond int64 as 2^63 - 1,
-    and rejects what ``int()`` takes, such as "1_000".  So a text with a
-    sign other than the markers', a token fromstring rejects, a value
-    below 1 or of 2^63 - 1, or an index out of range or repeated, goes
-    to ``_exact_bodies``, which reads it exactly or names its error.
-    """
-    text = " -1 ".join(bodies)
-    if not bodies or "+" in text or text.count("-") != len(bodies) - 1:
-        return None
-    try:
-        values = np.fromstring(text, dtype=np.int64, sep=" ")
-    except ValueError:
-        return None
-    marks = np.flatnonzero(values < 1)
-    if len(marks) != len(bodies) - 1 or (values == MAX_LENGTH).any():
-        return None
-    kinds = np.array(tags, dtype=np.int8)
-    indexed = kinds >= 2
-    first = np.concatenate(([0], marks + 1))[indexed]   # where each index is
-    index = np.zeros(len(bodies), dtype=np.int64)
-    index[indexed] = values[first]
-    for tag, limit in ((2, limits[0]), (3, limits[1])):
-        got = index[kinds == tag]
-        if len(got) and (got.max() > limit or
-                         np.bincount(got, minlength=limit + 1).max() > 1):
-            return None
-    keep = np.ones(len(values), dtype=bool)
-    keep[marks] = False
-    keep[first] = False
-    sizes = np.diff(np.concatenate(([-1], marks, [len(values)]))) - 1 - indexed
-    return values[keep], sizes, index
+def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np.ndarray,
+              p: int, q: int) -> EddInstance:
+    """The instance of the lines read: their lengths in file order, their
+    length counts, indices and kinds."""
+    kinds = np.repeat(tags, sizes)
+    owner = np.repeat(index - 1, sizes)
+    ab, ba = kinds == 2, kinds == 3
+    inst = EddInstance.__new__(EddInstance)
+    inst._init(values[kinds == 0], values[kinds == 1],
+               _grouped(values[ab], owner[ab], p), _grouped(values[ba], owner[ba], q))
+    return inst
 
 
 def _grouped(values: np.ndarray, owner: np.ndarray, count: int):

@@ -443,3 +443,59 @@ def test_solve_then_verify_at_1e5_within_memory_cap(tmp_path):
     orders.write_text(f"PA {fields['paIdx']}\nPB {fields['pbIdx']}\n")
     checked = _edd_capped(["verify", str(path), "--orders", str(orders)])
     assert (checked.returncode, checked.stdout) == (0, "valid\n"), checked.stderr
+
+
+def _reference_index_list(text, count, name):
+    """The token-by-token ``int()`` reading of an order list."""
+    try:
+        idx = [int(tok) - 1 for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{name} must be a list of integers") from None
+    if sorted(idx) != list(range(count)):
+        raise ValueError(f"{name} must be a permutation of 1..{count}")
+    return idx
+
+
+def _index_list_outcome(fn, text, count):
+    try:
+        return list(fn(text, count, "--pa"))
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2 3", "3,1,2", "3, 1 ,2", "1,,2,3", " 1  2   3 ", ",1,2,3,", "01 2 3", "1 2",
+    "1 2 3 4", "1 1 2", "0 1 2", "+1 2 3", "٣ 1 2", "1_0 2 3", "1 2 x", "-1 2 3",
+    "1\t2 3", "1 2 " + str(2**63), "1 2 " + str(2**63 - 1), "1 2 " + str(2**64 + 3),
+    "", "   ", ",", " , ",
+])
+def test_order_list_bulk_read_matches_int_reading(text):
+    from edd.cli import _parse_index_list
+    assert (_index_list_outcome(_parse_index_list, text, 3)
+            == _index_list_outcome(_reference_index_list, text, 3))
+
+
+TWO_FRAGMENT_MAP = "EDD 1\nA 3 4\nB 2 5\nAB 1 1 2\nAB 2 4\nBA 1 2\nBA 2 1 4\n"
+
+
+def test_verify_rejects_repeated_order_lines(capsys, tmp_path):
+    path = tmp_path / "map.edd"
+    path.write_text(TWO_FRAGMENT_MAP)
+    assert run(capsys, "verify", str(path), "--pa", "1 2", "--pb", "1 2") == (0, "valid\n")
+    orders = tmp_path / "orders.txt"
+    for text, line in (("PA 1 2\nPB 1 2\nPA 2 1\n", "line 3: duplicate PA line"),
+                       ("PB 1 2\n# note\nPA 1 2\nPB 1 2\n", "line 4: duplicate PB line")):
+        orders.write_text(text)
+        code = main(["verify", str(path), "--orders", str(orders)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
+
+def test_extract_hp_rejects_repeated_order_lines(capsys, tmp_path):
+    gpath = tmp_path / "edge.graph"
+    gpath.write_text("GRAPH 2\n1 2\n")
+    sol_file = tmp_path / "sol.txt"
+    sol_file.write_text("PA 1 2 3 4\nPB 1 2 3 4 5 6 7\nPA 4 3 2 1\n")
+    code = main(["extract-hp", str(gpath), str(sol_file)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: line 3: duplicate PA line\n")

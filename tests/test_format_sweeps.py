@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 
+import edd.instance as instance
 from edd.generator import random_instance
 from edd.instance import EddInstance, ParseError, parse_instance, serialize_instance
 from edd.verifier import layout, verify_permutation
 
-from conftest import DEMO_TEXT, multi_dup_instance
+from conftest import DEMO_TEXT, demo_instance, multi_dup_instance
 from format_reference import reference_layout, reference_parse, reference_verify
 
 BIG = 2**63 - 1
@@ -259,3 +260,137 @@ def test_verifier_rejects_non_permutations():
         for fn in (verify_permutation, reference_verify):
             with pytest.raises(ValueError, match=r"^pa is not a permutation of 0\.\.4$"):
                 fn(inst, pa, (0, 1, 2, 3, 4))
+
+
+# --- the whole-buffer reader --------------------------------------------------
+
+SWEEP_BYTES = "0123456789 \nAB-+#\t"
+
+
+def _sweep_documents(rng):
+    """Serialized random, duplicate-heavy and near-2^63 instances."""
+    for _ in range(4):
+        p, q = rng.randint(1, 6), rng.randint(1, 6)
+        yield EddInstance(
+            a_lengths=[rng.randint(1, 999) for _ in range(p)],
+            b_lengths=[rng.randint(1, 999) for _ in range(q)],
+            ab_sets=[[rng.randint(1, 99) for _ in range(rng.randint(0, 4))] for _ in range(p)],
+            ba_sets=[[rng.randint(1, 99) for _ in range(rng.randint(0, 4))] for _ in range(q)])
+    for seed in range(4):
+        yield random_instance(seed, 4, 5, 24, min_duplicates=2)[0]
+    yield multi_dup_instance()
+
+    def near():
+        return BIG - rng.choice([0, 0, 1, 9, rng.randint(0, 10**6)])
+
+    for _ in range(3):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        yield EddInstance([near() for _ in range(p)], [near() for _ in range(q)],
+                          [[near() for _ in range(rng.randint(1, 3))] for _ in range(p)],
+                          [[near() for _ in range(rng.randint(1, 3))] for _ in range(q)])
+
+
+def _byte_edit(rng, text):
+    k = rng.randrange(len(text) + 1)
+    op = rng.randrange(3)
+    if op == 0 or k == len(text):   # insert
+        return text[:k] + rng.choice(SWEEP_BYTES) + text[k:]
+    if op == 1:
+        return text[:k] + text[k + 1:]
+    return text[:k] + rng.choice(SWEEP_BYTES) + text[k + 1:]
+
+
+def test_byte_sweep_matches_reference(monkeypatch):
+    took = []
+    read_plain = instance._read_plain
+
+    def spy(text):
+        read = read_plain(text)
+        took.append(read is not None)
+        return read
+
+    monkeypatch.setattr(instance, "_read_plain", spy)
+    rng = random.Random(9)
+    docs = [serialize_instance(inst) for inst in _sweep_documents(rng)]
+    plain = 0
+    counts = {"ok": 0, "error": 0}
+    for trial in range(3000):
+        text = docs[trial % len(docs)]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            text = _byte_edit(rng, text)
+        want = _parse_outcome(reference_parse, text)
+        took.clear()
+        got = _parse_outcome(parse_instance, text)
+        assert got == want, (trial, text)
+        if want[0] == "ok":
+            for mine, ref in zip(got[1]._flats(), want[1]._flats()):
+                assert np.array_equal(mine, ref), (trial, text)
+            assert got[1].a_lengths == want[1].a_lengths
+        plain += took[0]
+        counts[want[0]] += 1
+    print(f"{plain} of 3000 documents took the whole-buffer path; outcomes {counts}")
+    assert plain >= 600 and min(counts.values()) >= 600, (plain, counts)
+
+
+def test_serialized_documents_skip_the_line_loop(monkeypatch):
+    def line_loop(text):
+        raise AssertionError("plain document read line by line")
+
+    monkeypatch.setattr(instance, "_read_lines", line_loop)
+    big = random_instance(4, 10_001, 10_000, 4 * 10**17, duplicate_free=True)[0]
+    for inst in (demo_instance(), big):
+        got = parse_instance(serialize_instance(inst))
+        assert got == inst
+        for mine, ref in zip(got._flats(), inst._flats()):
+            assert np.array_equal(mine, ref)
+
+
+HEAD = "EDD 1\nA 3 4\nB 7\n"
+
+
+@pytest.mark.parametrize("text", [
+    HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4\n",
+    HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4 A\n",      # a letter as a token of its own
+    HEAD + "AB 1 3\nAB 2 4A\nBA 1 3 4\n",       # a letter run into a number
+    HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4 B\n",
+    HEAD + "AB 1 3\nA2 4 B\nBA 1 3 4\n",        # a digit run into a kind
+    HEAD + "AB 1 3\n12 2 4 A\nBA 1 3 4\n",      # a line that starts with a digit
+    HEAD + "AB 1 3\nAB 1 4\nBA 1 3 4\n",        # an index repeated
+    HEAD + "AB 1 3\nAB 3 4\nBA 1 3 4\n",
+    HEAD + "AB 1 3\nAB 0 4\nBA 1 3 4\n",
+    HEAD + "AB 1 3\nBA 1 3 4\n",
+    HEAD + "AB 1 3\nAB 2 4\nBA 1 3 0\n",
+    HEAD + f"AB 1 3\nAB 2 {BIG}\nBA 1 3 4\n",
+    HEAD + f"AB 1 3\nAB 2 {BIG + 1}\nBA 1 3 4\n",
+    HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4",          # no final newline
+    HEAD + "AB 1 3\n\nAB 2 4\nBA 1 3 4\n",      # a blank line
+    HEAD + "AB 1 3\n   \nAB 2 4\nBA 1 3 4\n",
+    HEAD + " AB 1 3\nAB 2 4\nBA 1 3 4\n",
+    HEAD + "AB 1 3 \nAB  2 004\nBA 1 3 4  \n",
+    HEAD + "AB 1 3\nAB\nBA 1 3 4\n",
+    HEAD + "AB 1 3\nAB \nBA 1 3 4\n",
+    HEAD + "BA 1 3 4\nAB 2 4\nAB 1 3\n",
+    "EDD 1\nB 7\nA 3 4\nAB 1 3\nAB 2 4\nBA 1 3 4\n",
+    "EDD 1\nA \nB 7\nAB 1 3\nAB 2 4\nBA 1 3 4\n",
+    "EDD 1\nA 3 4\nB 7\nA 3 4\nAB 1 3\nAB 2 4\nBA 1 3 4\n",
+    "EDD 1\n", "EDD 1\nA 5\n", "EDD 1\nA 5\nB 5\nAB 1 5\nBA 1 5\nAB",
+])
+def test_near_plain_documents_match_reference(text):
+    got, want = _parse_outcome(parse_instance, text), _parse_outcome(reference_parse, text)
+    assert got == want
+    if want[0] == "ok":
+        for mine, ref in zip(got[1]._flats(), want[1]._flats()):
+            assert np.array_equal(mine, ref)
+
+
+def test_short_read_falls_back_to_exact_parse(monkeypatch):
+    """numpy 1.x returns the numbers read so far when fromstring stops
+    early; a read that misses the sentinel must not pass."""
+    full = np.fromstring
+
+    def short(text, dtype, sep):
+        return full(text, dtype=dtype, sep=sep)[:-2]   # the sentinel and one more number
+
+    monkeypatch.setattr(np, "fromstring", short)
+    text = HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4\n"
+    assert parse_instance(text) == reference_parse(text)

@@ -354,7 +354,11 @@ HEAD = "EDD 1\nA 3 4\nB 7\n"
     HEAD + "AB 1 3\nAB 2 4A\nBA 1 3 4\n",       # a letter run into a number
     HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4 B\n",
     HEAD + "AB 1 3\nA2 4 B\nBA 1 3 4\n",        # a digit run into a kind
+    HEAD + "AB 1 3\nAB2 4\nBA 1 3 4\n",          # a kind run into its index
     HEAD + "AB 1 3\n12 2 4 A\nBA 1 3 4\n",      # a line that starts with a digit
+    HEAD + "AB 1 3\n2 4\nBA 1 3 4\n",           # a line of numbers only
+    HEAD + "AB 1 3\n-2 2 4\nBA 1 3 4\n",        # a line that starts with a sign
+    "EDD 1\nA 5\nB23372036854775808 5\nAB 1 5\nBA 1 5\n",   # a kind run into a 17-digit number
     HEAD + "AB 1 3\nAB 1 4\nBA 1 3 4\n",        # an index repeated
     HEAD + "AB 1 3\nAB 3 4\nBA 1 3 4\n",
     HEAD + "AB 1 3\nAB 0 4\nBA 1 3 4\n",

@@ -540,7 +540,7 @@ def main(argv=None) -> int:
         return args.func(args, out)
     except ParseError as err:
         return _fail(str(err), ExitStatus.USAGE)
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:   # a file that cannot be read or written
         return _fail(str(err), ExitStatus.USAGE)
     except (OracleCapExceeded, AssignmentCapExceeded, PathSearchCapExceeded) as err:
         return _fail(str(err), ExitStatus.CAP_EXCEEDED)

@@ -294,9 +294,13 @@ def parse_instance(text: str) -> EddInstance:
     newline, then the A line, the B line and the AB and BA lines, each
     line starting with its kind and a space, and no byte other than
     digits, spaces, newlines and the letters A and B.  Any other
-    document is read line by line (``_read_lines``), with the same
-    results and the same ParseErrors: the first bad line, its line
-    number and message.
+    document is first normalised (``_read_lines``): a copy with each
+    line's tokens joined by one space, comments and blank lines dropped,
+    goes through the same whole-buffer passes.  Only a document that
+    this copy cannot take exactly is read line by line with ``int()``
+    per token (``_read_exact``), the one reader that holds every rule
+    and message, so the same results and the same ParseErrors come out
+    either way: the first bad line, its line number and message.
     """
     return _assemble(*(_read_plain(text) or _read_lines(text)))
 
@@ -376,78 +380,70 @@ def _read_plain(text: str):
 
 
 def _read_lines(text: str):
-    """What ``_read_plain`` returns, for any document, or the ParseError
-    of a line-by-line parse.
+    """What ``_read_plain`` returns, for a document not in plain shape.
 
-    One pass over the lines checks their kinds and keeps each line's
-    tokens.  The kept lines, joined in plain shape, go to ``_read_plain``;
-    what it cannot take exactly is read again token by token with
-    ``int()``, which also raises the first bad token's error.
+    The document is only normalised: each line's tokens joined by one
+    space, comments and blank lines dropped.  The copy goes to
+    ``_read_plain``; a document it cannot take exactly is read again by
+    ``_read_exact``, which also raises the first bad line's error.
     """
-    lines = text.splitlines()
-    kept: list[str] = []        # each A, B, AB and BA line, its tokens joined by one space
-    tags: list[int] = []        # their kinds, as indices into _KINDS
-    body_lines: list[int] = []
+    lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+    kept = [" ".join(tokens) for tokens in lines if tokens]
+    return _read_plain("\n".join(kept) + "\n") or _read_exact(text)
+
+
+def _read_exact(text: str):
+    """What ``_read_plain`` returns, for any document, read in one pass
+    over its lines with ``int()`` per token; raises the ParseError of the
+    first bad line.  Every rule of the grammar and every message is here."""
+    values: list[int] = []
+    sizes, index, tags = [], [], []
     limits: list = [None, None]   # length counts of the A and B lines
-
-    def check_earlier_lines():
-        _exact_bodies(kept, tags, body_lines, limits)   # raises for a bad one
-
-    def error(line_no: int, message: str) -> ParseError:
-        check_earlier_lines()   # a bad earlier line wins
-        return ParseError(line_no, message)
-
-    rows = enumerate(lines, start=1)
+    seen: tuple[set, set] = (set(), set())
     header_seen = False
-    for line_no, line in rows:   # up to the first line with content
+    line_no = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split("#", 1)[0].split()
-        if tokens:
+        if not tokens:
+            continue
+        if not header_seen:
             if tokens != ["EDD", "1"]:
                 raise ParseError(line_no, "expected 'EDD 1' header")
             header_seen = True
-            break
-    for line_no, line in rows:
-        tokens = line.split("#", 1)[0].split()
-        if not tokens:
             continue
         kind = tokens[0]
         tag = _TAGS.get(kind)
         if tag is None:
-            raise error(line_no, f"unknown line kind {kind!r}")
+            raise ParseError(line_no, f"unknown line kind {kind!r}")
+        idx = 0
         if tag >= 2:
             if len(tokens) < 2:
-                raise error(line_no, f"{kind} line needs an index")
-            if limits[tag - 2] is None:
-                check_earlier_lines()
-                _index(kind, tokens[1], None, set(), line_no)   # raises
-        else:
-            if limits[tag] is not None:
-                raise error(line_no, f"duplicate {kind} line")
-            limits[tag] = len(tokens) - 1
-            if not limits[tag]:
-                raise error(line_no, f"{kind} line needs at least one length")
-        kept.append(" ".join(tokens))
+                raise ParseError(line_no, f"{kind} line needs an index")
+            idx = _index(kind, tokens[1], limits[tag - 2], seen[tag - 2], line_no)
+        elif limits[tag] is not None:
+            raise ParseError(line_no, f"duplicate {kind} line")
+        lengths = [_length(tok, line_no) for tok in tokens[1 + (tag >= 2):]]
+        if tag < 2:
+            if not lengths:
+                raise ParseError(line_no, f"{kind} line needs at least one length")
+            limits[tag] = len(lengths)
+        values += lengths
+        sizes.append(len(lengths))
+        index.append(idx)
         tags.append(tag)
-        body_lines.append(line_no)
-
-    read = _read_plain("\n".join(["EDD 1", *kept, ""]))
-    if read is not None:
-        return read
-    values, sizes, index = _exact_bodies(kept, tags, body_lines, limits)
-    last_line = len(lines)
     if not header_seen:
-        raise ParseError(last_line or 1, "missing 'EDD 1' header")
+        raise ParseError(line_no or 1, "missing 'EDD 1' header")
     p, q = limits
     if p is None:
-        raise ParseError(last_line, "missing A line")
+        raise ParseError(line_no, "missing A line")
     if q is None:
-        raise ParseError(last_line, "missing B line")
+        raise ParseError(line_no, "missing B line")
     for tag, want in ((2, p), (3, q)):
-        if tags.count(tag) < want:   # no index repeats, so one is missing
-            got = {int(i) for i, t in zip(index, tags) if t == tag}
-            missing = next(i for i in range(1, want + 1) if i not in got)
-            raise ParseError(last_line, f"missing {_KINDS[tag]} line for index {missing}")
-    return values, sizes, index, np.array(tags, dtype=np.int8), p, q
+        if len(seen[tag - 2]) < want:
+            missing = next(i for i in range(1, want + 1) if i not in seen[tag - 2])
+            raise ParseError(line_no, f"missing {_KINDS[tag]} line for index {missing}")
+    return (np.array(values, dtype=np.int64), np.array(sizes, dtype=np.int64),
+            np.array(index, dtype=np.int64), np.array(tags, dtype=np.int8), p, q)
 
 
 def _index(kind: str, tok: str, limit: int | None, seen: set, line_no: int) -> int:
@@ -476,26 +472,6 @@ def _length(tok: str, line_no: int) -> int:
     if v > MAX_LENGTH:
         raise ParseError(line_no, f"length {v} exceeds 63-bit range")
     return v
-
-
-def _exact_bodies(kept: list[str], tags: list[int], body_lines: list[int], limits):
-    """Lengths, per-line length counts and indices (0 on A and B lines),
-    read token by token with ``int()`` in file order; raises the
-    ParseError of the first bad token."""
-    values: list[int] = []
-    sizes, index = [], []
-    seen: tuple[set, set] = (set(), set())
-    for line, tag, line_no in zip(kept, tags, body_lines):
-        tokens = line.split()[1:]
-        idx = 0
-        if tag >= 2:
-            idx = _index(_KINDS[tag], tokens[0], limits[tag - 2], seen[tag - 2], line_no)
-            tokens = tokens[1:]
-        values.extend(_length(tok, line_no) for tok in tokens)
-        sizes.append(len(tokens))
-        index.append(idx)
-    return (np.array(values, dtype=np.int64), np.array(sizes, dtype=np.int64),
-            np.array(index, dtype=np.int64))
 
 
 def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np.ndarray,

@@ -183,8 +183,8 @@ def _lex_less(x: np.ndarray, y: np.ndarray) -> bool:
     return bool(x[i] < y[i])
 
 
-def _assemble(lab: LabeledInstance, spine: np.ndarray, links: np.ndarray,
-              pend_c: np.ndarray, pend_pos: np.ndarray):
+def _assemble(spine: np.ndarray, links: np.ndarray, pend_c: np.ndarray,
+              pend_pos: np.ndarray):
     """Lay out pendant blocks and spine links in reading order."""
     m1 = len(spine)
     counts = np.bincount(pend_pos, minlength=m1)
@@ -201,19 +201,6 @@ def _assemble(lab: LabeledInstance, spine: np.ndarray, links: np.ndarray,
         order[offsets[:m1 - 1] + counts[:m1 - 1]] = links
     bpos = np.flatnonzero(counts >= 2)
     return (order, offsets[bpos], offsets[bpos] + counts[bpos], spine[bpos])
-
-
-def _reversed_groups(pos: np.ndarray) -> np.ndarray:
-    """The order that reverses the runs of equal values in the sorted
-    ``pos`` and keeps the order inside each run."""
-    n = len(pos)
-    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-    sizes = np.diff(np.append(starts, n))
-    start_of = np.repeat(starts, sizes)
-    # a run starting at s with k members lands at n - s - k
-    order = np.empty(n, dtype=np.int64)
-    order[n - 2 * start_of - np.repeat(sizes, sizes) + np.arange(n)] = np.arange(n)
-    return order
 
 
 def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionFamily:
@@ -233,12 +220,18 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
     if pay.single:
         return SolutionFamily(lab, np.zeros(1, dtype=np.int64), empty, empty, empty)
 
-    fwd = _assemble(lab, pay.spine, pay.links, pay.pend_c, pay.pend_pos)
-    rsort = _reversed_groups(pay.pend_pos)
-    rev = _assemble(lab, pay.spine[::-1], pay.links[::-1],
-                    pay.pend_c[rsort], (len(pay.spine) - 1) - pay.pend_pos[rsort])
-    chosen = rev if _lex_less(lab.values[rev[0]], lab.values[fwd[0]]) else fwd
-    return SolutionFamily(lab, *chosen)
+    order, starts, ends, attach = _assemble(pay.spine, pay.links, pay.pend_c, pay.pend_pos)
+    # the other reading: ``order`` reversed, each block span flipped back
+    # to ascending, so block [s, e) lands on [n - e, n - s) in its order
+    n = len(order)
+    sizes = ends - starts
+    members = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(sizes) - sizes), sizes)
+    rev = order[::-1].copy()
+    rev[members + np.repeat(n - ends - starts, sizes)] = order[members]
+    if _lex_less(lab.values[rev], lab.values[order]):
+        return SolutionFamily(lab, rev, (n - ends)[::-1], (n - starts)[::-1], attach[::-1])
+    return SolutionFamily(lab, order, starts, ends, attach)
 
 
 def induced_permutation(pc: CPermutation, inst: LabeledInstance) -> Solution:
@@ -402,14 +395,9 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
     chosen_slot = [0] * m
     out: list[tuple[tuple[int, ...], int]] = []
 
-    def rec(d: int):
-        if cap is not None and len(out) > cap:
-            return
-        if d == m:
-            need = Counter((a_labels[t], b_labels[s]) for t, s in zip(pos_order, chosen_slot))
-            perm = _first_bijection(a_labels, b_labels, need)
-            out.append((perm, _lehmer_rank(perm)))
-            return
+    def picks(d: int):
+        """Pick each slot that position ``pos_order[d]`` may take, one
+        per BA-side label; release it when asked for the next."""
         t = pos_order[d]
         start = 0
         if d and a_labels[pos_order[d - 1]] == a_labels[t]:
@@ -423,10 +411,21 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
             used[s] = True
             choice_rank[d] = r
             chosen_slot[d] = s
-            rec(d + 1)
+            yield s
             used[s] = False
 
-    rec(0)
+    # depth-first, one generator per depth on an explicit stack: the
+    # depth is the number of copies, past Python's recursion limit
+    stack = [picks(0)]
+    while stack and (cap is None or len(out) <= cap):
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(stack) < m:
+            stack.append(picks(len(stack)))
+        else:
+            need = Counter((a_labels[t], b_labels[s]) for t, s in zip(pos_order, chosen_slot))
+            perm = _first_bijection(a_labels, b_labels, need)
+            out.append((perm, _lehmer_rank(perm)))
     out.sort(key=lambda pr: pr[1])
     return out
 

@@ -58,6 +58,24 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}"],
+    ["check", "{binary}"],
+    ["solve", "{binary}"],
+    ["verify", "{demo}", "--orders", "{dir}"],
+    ["solve", "{demo}", "--dump-graph", "{dir}"],
+    ["gen", "--total", "100", "--seed", "1", "--p", "3", "--q", "3", "--out", "{dir}"],
+])
+def test_unreadable_files_exit_2(capsys, demo_file, tmp_path, argv):
+    binary = tmp_path / "latin1.edd"
+    binary.write_bytes(DEMO_TEXT.encode() + b"# caf\xe9, in Latin-1\n")
+    names = {"dir": str(tmp_path), "binary": str(binary), "demo": demo_file}
+    code = main([arg.format(**names) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_solve_demo_default_golden(capsys, demo_file):
     code, out = run(capsys, "solve", demo_file)
     assert code == 0
@@ -381,6 +399,15 @@ def test_solve_all_equal_leaf_star_prints_one_layout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("solution: ") == 1
     assert "piB: " + " ".join(["7"] * 12) in proc.stdout.splitlines()
+
+
+def test_solve_star_of_2000_equal_leaves(capsys, tmp_path):
+    path = tmp_path / "star.edd"
+    path.write_text(serialize_instance(
+        EddInstance((10_000,), (5,) * 2000, ((5,) * 2000,), ((5,),) * 2000)))
+    code, out = run(capsys, "solve", str(path))
+    assert code == 0
+    assert out.splitlines()[:3] == ["status: ok", "assignments: 1", "assignment: 0"]
 
 
 def _edd_capped(argv, stdout=subprocess.PIPE):

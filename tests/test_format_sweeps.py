@@ -345,6 +345,21 @@ def test_serialized_documents_skip_the_line_loop(monkeypatch):
             assert np.array_equal(mine, ref)
 
 
+def test_normalised_documents_skip_the_exact_reader(monkeypatch):
+    def exact(text):
+        raise AssertionError("normalised document read token by token")
+
+    monkeypatch.setattr(instance, "_read_exact", exact)
+    big = random_instance(4, 10_001, 10_000, 4 * 10**17, duplicate_free=True)[0]
+    text = serialize_instance(big)
+    for copy in ("# a comment line\n" + text, text.replace("\n", "\r\n"),
+                 text.replace(" ", "\t"), text.replace("\n", "\n\n")):
+        got = parse_instance(copy)
+        assert got == big
+        for mine, ref in zip(got._flats(), big._flats()):
+            assert np.array_equal(mine, ref)
+
+
 HEAD = "EDD 1\nA 3 4\nB 7\n"
 
 

@@ -12,7 +12,8 @@ from edd.solver import (
     NotConsecutiveError,
     Solution,
     SolutionFamily,
-    _reversed_groups,
+    _assemble,
+    _lex_less,
     canonical_key,
     canonicalize_solution,
     dangler_first_search,
@@ -115,8 +116,9 @@ def test_dup_cycle_assignment_rejected():
 
 
 def test_reversed_pendant_order_matches_lexsort():
-    # the reversed reading sorts pendants by (reversed position, value, copy)
-    seen_groups = 0
+    # the reversed reading is the family assembled from the reversed spine,
+    # with pendants sorted by (reversed position, value, copy)
+    seen_groups = reversed_families = 0
     instances = [random_instance(seed, 3 + seed % 40, 3 + seed % 37, 10**6)[0]
                  for seed in range(60)]
     for inst in instances + [dup_instance(), multi_dup_instance(), two_block_instance()]:
@@ -127,12 +129,17 @@ def test_reversed_pendant_order_matches_lexsort():
                 continue
             pay = verdict.payload
             rpos = (len(pay.spine) - 1) - pay.pend_pos
-            want = np.lexsort((lab.copy_ids[pay.pend_c], lab.values[pay.pend_c], rpos))
-            got = _reversed_groups(pay.pend_pos)
-            assert np.array_equal(pay.pend_c[got], pay.pend_c[want])
-            assert np.array_equal(rpos[got], rpos[want])
+            by = np.lexsort((lab.copy_ids[pay.pend_c], lab.values[pay.pend_c], rpos))
+            fwd = _assemble(pay.spine, pay.links, pay.pend_c, pay.pend_pos)
+            rev = _assemble(pay.spine[::-1], pay.links[::-1], pay.pend_c[by], rpos[by])
+            want = rev if _lex_less(lab.values[rev[0]], lab.values[fwd[0]]) else fwd
+            fam = dangler_first_search(g, verdict)
+            got = (fam.order, fam.block_starts, fam.block_ends, fam.block_attach)
+            for mine, ref in zip(got, want):
+                assert np.array_equal(mine, ref)
             seen_groups += int((np.diff(pay.pend_pos) == 0).sum())
-    assert seen_groups > 100
+            reversed_families += want is rev
+    assert seen_groups > 100 and reversed_families > 10
 
 
 def test_induced_permutation_demo():
@@ -435,6 +442,13 @@ def test_distinct_matching_strategies_agree():
     # symmetric cases collapse completely
     assert len(_distinct_matchings([("f", i) for i in range(10)],
                                    [("s",)] * 10, None)) == 1
+
+
+def test_star_of_2000_equal_leaves_solves():
+    # one group of 2,000 equal copies: the matching search goes one level
+    # deeper per copy, past Python's recursion limit
+    inst = EddInstance((10_000,), (5,) * 2000, ((5,) * 2000,), ((5,),) * 2000)
+    assert [aid for aid, _fam in solve(inst)] == [0]
 
 
 def test_solutions_pass_verifier_sweep():

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from enum import IntEnum
 from itertools import accumulate, chain
 
@@ -69,8 +70,14 @@ class _Output:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:   # read() decodes the whole file at once
+        data, at = err.object, err.start
+        line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        message = f"{path} is not UTF-8: byte 0x{data[at]:02x} at column {column}"
+        raise ParseError(line, message) from None
 
 
 def _fail(message: str, code: ExitStatus) -> int:
@@ -174,14 +181,13 @@ def _family_layouts(inst: EddInstance, expansion, as_json: bool):
     if len(expansion) == 1:
         yield [fmt(line.tolist()) for line in tokens]
         return
-    at_a = (fam.block_attach < inst.p).tolist()
-    spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist(),
-                     fam.block_segments().tolist()))
+    which, at = (a.tolist() for a in fam.block_segments())   # which: 0 piA, 1 piB per block
+    spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist(), at))
     lines, holes = [], [[] for _ in spans]   # holes: block -> its (line, part)s
     for li, line in enumerate(tokens):
         parts, pos = [], 0
         for k, (s, e, t) in enumerate(spans):
-            if li < 4 and at_a[k] != li % 2:   # piA and paIdx hold the blocks at B-nodes
+            if li < 4 and which[k] != li % 2:   # piA and paIdx hold the blocks that permute pi_a
                 continue
             start, end = (s, e) if li == 4 else (t, t + e - s)
             if pos < start:
@@ -200,8 +206,7 @@ def _family_layouts(inst: EddInstance, expansion, as_json: bool):
     for k, order in expansion.steps():
         ranks[k] += 1
         if ranks[k] == len(chunks[k]):
-            owners = fam.labeled.b_owners if at_a[k] else fam.labeled.a_owners
-            idx, val = fmt((owners[expansion.placed(k, order)] + 1).tolist()), fmt(order)
+            idx, val = fmt((expansion.segment(k, order) + 1).tolist()), fmt(order)
             chunks[k].append(tuple(idx if li in (2, 3) else val for li, _at in holes[k]))
         for b in range(k, len(spans)):
             if b > k:
@@ -385,15 +390,15 @@ def cmd_gen(args, out: _Output) -> int:
         return _fail(str(err), ExitStatus.USAGE)
 
     text = serialize_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif not out.quiet and not out.as_json:
-        sys.stdout.write(text)
-    if args.sidecar:
-        with open(args.sidecar, "w", encoding="utf-8") as fh:
-            fh.write("GT-A " + " ".join(map(str, cuts_a)) + "\n")
-            fh.write("GT-B " + " ".join(map(str, cuts_b)) + "\n")
+    # the sidecar opens first, so that one that cannot be written fails before any output
+    with open(args.sidecar, "w", encoding="utf-8") if args.sidecar else nullcontext() as side:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif not out.quiet and not out.as_json:
+            sys.stdout.write(text)
+        if side:
+            side.write(f"GT-A {_text(cuts_a)}\nGT-B {_text(cuts_b)}\n")
     out.payload = {"instance": text, "cutsA": list(cuts_a), "cutsB": list(cuts_b)}
     out.emit_json()
     return int(ExitStatus.OK)
@@ -540,7 +545,7 @@ def main(argv=None) -> int:
         return args.func(args, out)
     except ParseError as err:
         return _fail(str(err), ExitStatus.USAGE)
-    except (OSError, UnicodeDecodeError) as err:   # a file that cannot be read or written
+    except OSError as err:   # a file that cannot be read or written
         return _fail(str(err), ExitStatus.USAGE)
     except (OracleCapExceeded, AssignmentCapExceeded, PathSearchCapExceeded) as err:
         return _fail(str(err), ExitStatus.CAP_EXCEEDED)

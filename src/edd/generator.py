@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CPermutation, EddInstance
+from .instance import MAX_LENGTH, CPermutation, EddInstance
 from .solver import Solution
 
 
@@ -60,8 +60,10 @@ def instance_from_cuts(model: CutModel) -> tuple[EddInstance, Solution]:
     left-to-right labeling.
     """
     total = model.total_length
-    ca = np.asarray(model.cuts_a, dtype=np.int64)
-    cb = np.asarray(model.cuts_b, dtype=np.int64)
+    # positions past int64 stay exact Python ints; the instance checks that each length fits
+    dtype = np.int64 if total <= MAX_LENGTH else object
+    ca = np.asarray(model.cuts_a, dtype=dtype)
+    cb = np.asarray(model.cuts_b, dtype=dtype)
     a_lengths = _gaps(model.cuts_a, total)
     b_lengths = _gaps(model.cuts_b, total)
 
@@ -76,7 +78,7 @@ def instance_from_cuts(model: CutModel) -> tuple[EddInstance, Solution]:
     ba_groups = _group_slices(length_list, b_idx, len(b_lengths))
     inst = EddInstance(a_lengths, b_lengths, ab_groups, ba_groups)
 
-    pi_c = CPermutation.along_line(lengths, a_idx, b_idx)
+    pi_c = CPermutation.along_line(lengths.astype(np.int64, copy=False), a_idx, b_idx)
     truth = Solution(tuple(range(inst.p)), tuple(range(inst.q)), pi_c)
     return inst, truth
 
@@ -102,6 +104,8 @@ def random_instance(seed: int, p: int, q: int, total_length: int, *,
     """
     if p < 1 or q < 1:
         raise InfeasibleParams("p and q must be at least 1")
+    if total_length > MAX_LENGTH:
+        raise InfeasibleParams(f"total length {total_length} exceeds 2^63 - 1")
     if duplicate_free and min_duplicates:
         raise InfeasibleParams("duplicate_free contradicts min_duplicates")
     k = p + q - 2

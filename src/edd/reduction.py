@@ -12,7 +12,9 @@ the encoding, recovering a Hamiltonian path from any valid layout.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -29,8 +31,23 @@ class PathSearchCapExceeded(RuntimeError):
         super().__init__(f"{nodes} nodes exceed the exhaustive path-search cap {cap}")
 
 
+class _Adjacency:
+    """Neighbor lists read from ``edges`` once, on first use."""
+
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        adj = defaultdict(list)
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return tuple(sorted(self._adjacency.get(v, ())))
+
+
 @dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Adjacency):
     """Undirected graph on nodes 1..node_count, no loops or multi-edges."""
 
     node_count: int
@@ -48,12 +65,9 @@ class SimpleGraph:
         if self.node_count < 1:
             raise ValueError("graph needs at least one node")
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u if w == v else w for u, w in self.edges if v in (u, w)))
-
 
 @dataclass(frozen=True)
-class AugmentedGraph:
+class AugmentedGraph(_Adjacency):
     """The input graph plus hub t (joined to every original node) and
     pendant z (joined to t only)."""
 
@@ -64,13 +78,10 @@ class AugmentedGraph:
     edges: frozenset[tuple[int, int]]
 
     def kappa(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._adjacency.get(v, ()))
 
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u if w == v else w for u, w in self.edges if v in (u, w)))
 
 
 def augment(h: SimpleGraph) -> AugmentedGraph:
@@ -165,13 +176,13 @@ def extract_path(sol: Solution | Sequence[int], h: SimpleGraph) -> tuple[int, ..
 
     Consecutive A-fragments must be adjacent augmented nodes and the
     tail must sit at one end; anything else raises MalformedSolution.
+    A-fragment i encodes node i + 1.
     """
-    red = reduce_graph(h)
-    aug = red.augmented
+    aug = augment(h)
     pi_a = tuple(sol.pi_a) if isinstance(sol, Solution) else tuple(sol)
-    if sorted(pi_a) != list(range(len(red.a_nodes))):
+    if sorted(pi_a) != list(range(aug.node_count)):
         raise MalformedSolution("pi_a is not a permutation of the A-fragments")
-    nodes = [red.a_nodes[i] for i in pi_a]
+    nodes = [int(i) + 1 for i in pi_a]
     for u, v in zip(nodes, nodes[1:]):
         if not aug.adjacent(u, v):
             raise MalformedSolution(f"consecutive fragments map to non-adjacent nodes {u}, {v}")

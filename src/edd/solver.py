@@ -150,15 +150,21 @@ class SolutionFamily:
         pi_b = _dedupe_runs(lab.b_owners[self.order], lab.base.q, "B")
         return pi_a, pi_b
 
-    def block_segments(self) -> np.ndarray:
-        """Where each block starts in the fragment order it permutes: each
-        member of a block at an A-node has a single-piece B-fragment, so
-        the block holds ``pi_b[t:t + size]`` of the canonical expansion
-        (pi_a for a B-node), and stepping it changes nothing else."""
+    def block_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which fragment order each block permutes (1, pi_b, for a block
+        at an A-node, whose members each have a single-piece B-fragment;
+        0, pi_a, for one at a B-node) and where the block starts in it:
+        the block holds ``pi[t:t + size]`` of the canonical expansion, and
+        stepping it changes nothing else."""
+        at_a = self.block_attach < self.labeled.base.p
+        a_runs, b_runs = (runs[self.block_starts] for runs in self._run_index())
+        return at_a.astype(np.int64), np.where(at_a, b_runs, a_runs)
+
+    def _run_index(self) -> list[np.ndarray]:
+        """Per pi, the index of the owner run that holds each position of ``order``."""
         lab = self.labeled
-        a_runs, b_runs = (np.cumsum(np.diff(owners, prepend=owners[:1]) != 0)[self.block_starts]
-                          for owners in (lab.a_owners[self.order], lab.b_owners[self.order]))
-        return np.where(self.block_attach < lab.base.p, b_runs, a_runs)
+        return [np.cumsum(np.diff(owners, prepend=owners[:1]) != 0)
+                for owners in (lab.a_owners[self.order], lab.b_owners[self.order])]
 
 
 def _dedupe_runs(owners: np.ndarray, count: int, kind: str) -> np.ndarray:
@@ -234,21 +240,6 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
     return SolutionFamily(lab, order, starts, ends, attach)
 
 
-def induced_permutation(pc: CPermutation, inst: LabeledInstance) -> Solution:
-    """Group a C-ordering into its fragment orders (pi_a, pi_b).
-
-    Maximal runs sharing an owner, read from the ordering's owner
-    columns, become that owner's slot.  An owner split across runs
-    raises NotConsecutiveError, naming the smallest split A-owner, else
-    the smallest split B-owner.
-    """
-    if len(pc) != inst.n:
-        raise ValueError("ordering does not cover C")
-    pi_a = _dedupe_runs(pc.columns[1], inst.base.p, "A")
-    pi_b = _dedupe_runs(pc.columns[2], inst.base.q, "B")
-    return Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), pc)
-
-
 @dataclass(frozen=True)
 class NoSolution:
     """Verdict for an unsolvable labeled instance."""
@@ -290,7 +281,8 @@ class FamilyExpansion:
     distinct layouts (k values with multiplicities m_v), so ``len()`` and
     ``truncated`` are known before iteration.  The first layout is the
     canonical expansion; ``steps()`` gives the moves to the others, and
-    iterating gives every layout as a Solution.
+    iterating gives every layout as fresh int64 arrays (pi_a, pi_b,
+    c_order), ``c_order`` indexing ``family.labeled``.
     """
 
     def __init__(self, family: SolutionFamily, max_expansions: int):
@@ -334,16 +326,34 @@ class FamilyExpansion:
         members[np.argsort(order, kind="stable")] = canonical
         return members
 
-    def __iter__(self) -> Iterator[Solution]:
-        fam, layout = self.family, self.family.order.copy()
-        elems = fam.labeled.c_elements
-        if len(self):
-            yield induced_permutation(elems.take(layout), fam.labeled)
+    def segment(self, k: int, order: list[int]) -> np.ndarray:
+        """Block k's new segment of the fragment order it permutes, for
+        the value order ``order``: its members' B-owners for a block at
+        an A-node, else their A-owners.  ``block_segments()`` says where
+        the segment goes."""
+        lab = self.family.labeled
+        owners = lab.b_owners if self.family.block_attach[k] < lab.base.p else lab.a_owners
+        return owners[self.placed(k, order)]
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        if not len(self):
+            return
+        fam = self.family
+        canon = fam.induced_index_arrays()
+        layout, pis = fam.order.copy(), [pi.copy() for pi in canon]
+        yield pis[0].copy(), pis[1].copy(), layout.copy()
+        which, at = fam.block_segments()
+        # per pi, the runs that start before each block's end: from there
+        # on, a step leaves the pi as in the canonical expansion
+        kept = [runs[fam.block_ends - 1] + 1 for runs in fam._run_index()]
         for k, order in self.steps():
             s, e = fam.block_starts[k], fam.block_ends[k]
             layout[s:e] = self.placed(k, order)
             layout[e:] = fam.order[e:]   # later blocks back in ascending order
-            yield induced_permutation(elems.take(layout), fam.labeled)
+            for pi, c, r in zip(pis, canon, kept):
+                pi[r[k]:] = c[r[k]:]
+            pis[which[k]][at[k]:at[k] + e - s] = self.segment(k, order)
+            yield pis[0].copy(), pis[1].copy(), layout.copy()
 
 
 def expand_family(fam: SolutionFamily,

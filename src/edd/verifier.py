@@ -1,19 +1,19 @@
-"""Ground-truth layout engine and exhaustive reference solver.
+"""Ground-truth layout check and exhaustive reference solver.
 
-Given candidate fragment orders, this module plots both digests on one
-line, derives the overlap sub-fragments, and checks them against the
-cross-digest data -- the defining test of a valid layout.  The
-exhaustive solver tries every permutation pair and keeps what passes;
-it exists to witness the fast solver's answers and deliberately shares
-none of its machinery (only the plain Solution containers and the
-orientation key are imported).
+``verify_permutation`` takes candidate fragment orders as index
+sequences, plots both digests on one line as arrays, derives the
+overlap sub-fragments, and checks them against the cross-digest data --
+the defining test of a valid layout.  It returns a verdict; the plotted
+pieces are not kept as objects.  The exhaustive solver tries every
+permutation pair and keeps what passes; it exists to witness the fast
+solver's answers and deliberately shares none of its machinery (only
+the plain Solution containers and the orientation key are imported).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,28 +51,6 @@ class SumMismatch(LayoutError):
 class OracleCapExceeded(RuntimeError):
     def __init__(self, p: int, q: int, cap: int):
         super().__init__(f"p + q = {p + q} exceeds exhaustive-search cap {cap}")
-
-
-class LayoutPiece(NamedTuple):
-    start: int
-    end: int
-    a_index: int   # original A-fragment index covering this piece
-    b_index: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class Layout:
-    """Both digests plotted on [0, total]: internal cuts plus the pieces
-    the overlaps carve out."""
-
-    total_length: int
-    a_boundaries: tuple[int, ...]
-    b_boundaries: tuple[int, ...]
-    pieces: tuple[LayoutPiece, ...]
 
 
 def _is_permutation(idx: np.ndarray, count: int) -> bool:
@@ -117,19 +95,6 @@ def _cut_arrays(pa, pb, inst: EddInstance):
     a_index = pa[np.searchsorted(a_cuts, starts, side="right")]
     b_index = pb[np.searchsorted(b_cuts, starts, side="right")]
     return a_prefix, b_prefix, bounds, a_index, b_index
-
-
-def layout(pa, pb, inst: EddInstance) -> Layout:
-    """Cut [0, total] by both orderings and tag each piece with its owners.
-
-    ``pa``/``pb`` are 0-based index orders into a_lengths/b_lengths.
-    Raises SumMismatch or CoincidentCut for unplottable inputs.
-    """
-    a_prefix, b_prefix, bounds, a_index, b_index = _cut_arrays(pa, pb, inst)
-    cuts = bounds.tolist()
-    pieces = tuple(map(LayoutPiece, cuts[:-1], cuts[1:], a_index.tolist(), b_index.tolist()))
-    return Layout(cuts[-1], tuple(a_prefix[:-1].tolist()), tuple(b_prefix[:-1].tolist()),
-                  pieces)
 
 
 def _first_mismatch(keys: np.ndarray, n: int, lengths: np.ndarray,

@@ -1,6 +1,7 @@
 """Shared sample data for the test suite."""
 
 from edd.instance import EddInstance
+from edd.solver import DEFAULT_MAX_EXPANSIONS, Solution, expand_family
 
 # 5x3 dataset with one interchangeable pair: the solver should report the
 # family 6 3 [12 15] 8 29 17 and exactly two distinct layouts.
@@ -89,3 +90,11 @@ def two_block_instance() -> EddInstance:
         ab_sets=((1, 2, 21, 22), (31,), (32,), (3, 4)),
         ba_sets=((1,), (21,), (22,), (2, 3, 31, 32), (4,)),
     )
+
+
+def expanded_solutions(fam, max_expansions: int = DEFAULT_MAX_EXPANSIONS):
+    """Each layout of ``expand_family(fam)`` as a Solution, the form the
+    oracle's layouts and ``canonical_key`` take."""
+    elems = fam.labeled.c_elements
+    for pi_a, pi_b, c_order in expand_family(fam, max_expansions):
+        yield Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), elems.take(c_order))

@@ -1,8 +1,10 @@
 """The eager expansion and per-layout printing that `edd solve` used
 before it streamed layouts from the family's block structure, kept as
-the reference for the equivalence tests: `reference_expand_family` holds
-every layout, `reference_solution_lines` formats one from its Solution,
-and `reference_cmd_solve` is the `solve` command built on them."""
+the reference for the equivalence tests: `induced_permutation` groups a
+C-ordering into its Solution, `reference_expand_family` holds every
+layout as one, `reference_solution_lines` formats one from its
+Solution, and `reference_cmd_solve` is the `solve` command built on
+them."""
 
 from __future__ import annotations
 
@@ -22,14 +24,36 @@ from edd.cli import (
     _violation_json,
 )
 from edd.digestgraph import build_graph, export_edges
-from edd.instance import AssignmentCapExceeded, EddInstance, label_duplicates, validate_consistency
+from edd.instance import (
+    AssignmentCapExceeded,
+    CPermutation,
+    EddInstance,
+    LabeledInstance,
+    label_duplicates,
+    validate_consistency,
+)
 from edd.solver import (
     DEFAULT_MAX_EXPANSIONS,
     Solution,
     SolutionFamily,
-    induced_permutation,
+    _dedupe_runs,
     solve,
 )
+
+
+def induced_permutation(pc: CPermutation, inst: LabeledInstance) -> Solution:
+    """Group a C-ordering into its fragment orders (pi_a, pi_b).
+
+    Maximal runs sharing an owner, read from the ordering's owner
+    columns, become that owner's slot.  An owner split across runs
+    raises NotConsecutiveError, naming the smallest split A-owner, else
+    the smallest split B-owner.
+    """
+    if len(pc) != inst.n:
+        raise ValueError("ordering does not cover C")
+    pi_a = _dedupe_runs(pc.columns[1], inst.base.p, "A")
+    pi_b = _dedupe_runs(pc.columns[2], inst.base.q, "B")
+    return Solution(tuple(pi_a.tolist()), tuple(pi_b.tolist()), pc)
 
 
 @dataclass(eq=False)

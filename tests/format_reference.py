@@ -1,23 +1,16 @@
 """Reference text parser and layout verifier: the pure-Python versions.
 
-Line-by-line parsing with ``int()`` per token, and a layout built by
-walking the merged cut lists piece by piece, kept as the oracles that
-``parse_instance``, ``layout`` and ``verify_permutation`` are compared
-against.  They return the library's own types, so results compare with
-``==``.
+Line-by-line parsing with ``int()`` per token, and a layout's pieces
+found by walking the merged cut lists piece by piece, kept as the
+oracles that ``parse_instance`` and ``verify_permutation`` are compared
+against.  The parser and the verifier return the library's own types,
+so results compare with ``==``.
 """
 
 from itertools import accumulate
 
 from edd.instance import MAX_LENGTH, EddInstance, ParseError
-from edd.verifier import (
-    CoincidentCut,
-    Layout,
-    LayoutError,
-    LayoutPiece,
-    SumMismatch,
-    VerifyResult,
-)
+from edd.verifier import CoincidentCut, LayoutError, SumMismatch, VerifyResult
 
 
 def reference_parse(text: str) -> EddInstance:
@@ -118,8 +111,9 @@ def _check_permutation(seq, count, name):
         raise ValueError(f"{name} is not a permutation of 0..{count - 1}")
 
 
-def reference_layout(pa, pb, inst: EddInstance) -> Layout:
-    """Cut [0, total] by both orderings and tag each piece with its owners.
+def reference_pieces(pa, pb, inst: EddInstance) -> list[tuple[int, int, int]]:
+    """Cut [0, total] by both orderings: each piece as (length, A-owner,
+    B-owner), left to right.
 
     ``pa``/``pb`` are 0-based index orders into a_lengths/b_lengths.
     Raises SumMismatch or CoincidentCut for unplottable inputs.
@@ -143,12 +137,12 @@ def reference_layout(pa, pb, inst: EddInstance) -> Layout:
     pieces = []
     ai = bi = 0
     for start, end in zip(bounds, bounds[1:]):
-        pieces.append(LayoutPiece(start, end, pa[ai], pb[bi]))
+        pieces.append((end - start, pa[ai], pb[bi]))
         if ai < len(a_cuts) and a_prefix[ai] == end:
             ai += 1
         if bi < len(b_cuts) and b_prefix[bi] == end:
             bi += 1
-    return Layout(total, tuple(a_cuts), tuple(b_cuts), tuple(pieces))
+    return pieces
 
 
 def reference_verify(inst: EddInstance, pa, pb) -> VerifyResult:
@@ -159,20 +153,20 @@ def reference_verify(inst: EddInstance, pa, pb) -> VerifyResult:
     multiset.  The first failing check is reported.
     """
     try:
-        lay = reference_layout(pa, pb, inst)
+        pieces = reference_pieces(pa, pb, inst)
     except LayoutError as err:
         return VerifyResult(False, err.rule)
 
-    lengths = sorted(piece.length for piece in lay.pieces)
+    lengths = sorted(length for length, _a, _b in pieces)
     expected = sorted(v for s in inst.ab_sets for v in s)
     if lengths != expected:
         return VerifyResult(False, "piece multiset differs from C")
 
     by_a: dict[int, list[int]] = {}
     by_b: dict[int, list[int]] = {}
-    for piece in lay.pieces:
-        by_a.setdefault(piece.a_index, []).append(piece.length)
-        by_b.setdefault(piece.b_index, []).append(piece.length)
+    for length, a_index, b_index in pieces:
+        by_a.setdefault(a_index, []).append(length)
+        by_b.setdefault(b_index, []).append(length)
     for i, want in enumerate(inst.ab_sets):
         if tuple(sorted(by_a.get(i, []))) != want:
             return VerifyResult(False, f"AB_{i + 1} mismatch")

@@ -27,7 +27,7 @@ from edd.reduction import SimpleGraph, extract_path, has_hamiltonian_path, reduc
 from edd.solver import canonical_key, expand_family, solve
 from edd.verifier import brute_force_solve, verify_permutation
 
-from conftest import demo_instance, dup_instance
+from conftest import demo_instance, dup_instance, expanded_solutions
 
 
 def criterion(number, description):
@@ -47,7 +47,7 @@ def criterion(number, description):
 def solution_key_set(inst, result, cap=100_000):
     keys = set()
     for _aid, fam in result:
-        for sol in expand_family(fam, max_expansions=cap):
+        for sol in expanded_solutions(fam, max_expansions=cap):
             keys.add(canonical_key(inst, sol))
     return keys
 
@@ -71,10 +71,11 @@ def test_criterion_1_demo_reproduction():
     elapsed = time.perf_counter() - start
     sols = list(expansion)
     assert len(sols) == 2 and not expansion.truncated
-    assert [s.a_values(inst) for s in sols] == [
-        (9, 12, 15, 37, 17), (9, 15, 12, 37, 17)]
-    assert all(s.b_values(inst) == (6, 38, 46) for s in sols)
-    assert len({canonical_key(inst, s) for s in sols}) == 2
+    a_len, b_len = inst._length_arrays()
+    assert [a_len[pi_a].tolist() for pi_a, _pi_b, _c in sols] == [
+        [9, 12, 15, 37, 17], [9, 15, 12, 37, 17]]
+    assert all(b_len[pi_b].tolist() == [6, 38, 46] for _pi_a, pi_b, _c in sols)
+    assert len({canonical_key(inst, s) for s in expanded_solutions(fam)}) == 2
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
@@ -92,7 +93,7 @@ def test_criterion_2_duplicate_example():
     assert result.first_violation.kind == HAS_CYCLE
 
     sols = list(expand_family(result[0][1]))
-    assert all(verify_permutation(inst, s.pi_a, s.pi_b) for s in sols)
+    assert all(verify_permutation(inst, pi_a, pi_b) for pi_a, pi_b, _c in sols)
     assert solution_key_set(inst, result) == oracle_key_set(inst)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -272,8 +273,8 @@ def test_criterion_5_reduction_equivalence():
             mismatches.append(gi)
             continue
         if result:
-            for sol in expand_family(result[0][1], max_expansions=24):
-                path = extract_path(sol, h)
+            for pi_a, _pi_b, _c in expand_family(result[0][1], max_expansions=24):
+                path = extract_path(pi_a, h)
                 assert sorted(path) == list(range(1, h.node_count + 1))
                 for u, v in zip(path, path[1:]):
                     assert (min(u, v), max(u, v)) in h.edges

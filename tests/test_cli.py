@@ -268,6 +268,42 @@ def test_gen_usage_errors(capsys):
     assert code == 2
 
 
+def test_gen_total_past_int64_exit_2(capsys):
+    code = main(["gen", "--total", str(10**20), "--seed", "1", "--p", "3", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: total length {10**20} exceeds 2^63 - 1\n"
+
+
+def test_gen_cuts_on_a_total_past_int64(capsys, tmp_path):
+    # the total is 2^63, yet every fragment and piece length fits int64
+    path = tmp_path / "wide.edd"
+    code, _ = run(capsys, "gen", "--total", str(2**63), "--cuts-a", "5", "--cuts-b", "3",
+                  "--out", str(path))
+    assert code == 0
+    assert "A 5 9223372036854775803\n" in path.read_text()
+    assert run(capsys, "check", str(path)) == (0, "ok\n")
+
+
+def test_gen_unwritable_sidecar_prints_nothing(capsys, tmp_path):
+    code = main(["gen", "--total", "100", "--seed", "1", "--p", "3", "--q", "3",
+                 "--sidecar", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_non_utf8_file_error_names_file_and_line(capsys, demo_file, tmp_path):
+    binary = tmp_path / "latin1.edd"
+    binary.write_bytes(DEMO_TEXT.encode() + b"# caf\xe9, in Latin-1\n")
+    line = DEMO_TEXT.count("\n") + 1
+    for argv in (["check", str(binary)], ["verify", demo_file, "--orders", str(binary)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: line {line}: {binary} is not UTF-8: byte 0xe9 at column 6\n"
+
+
 def test_reduce_hp_golden(capsys, tmp_path):
     gpath = tmp_path / "one.graph"
     gpath.write_text("GRAPH 1\n")

@@ -2,10 +2,10 @@ import pytest
 
 from edd.generator import CutModel, InfeasibleParams, instance_from_cuts, random_instance
 from edd.instance import parse_instance, serialize_instance, validate_consistency
-from edd.solver import canonical_key, expand_family, solve
+from edd.solver import canonical_key, solve
 from edd.verifier import brute_force_solve, verify_permutation
 
-from conftest import demo_instance, dup_instance
+from conftest import demo_instance, dup_instance, expanded_solutions
 
 
 def canon(inst):
@@ -95,7 +95,7 @@ def test_ground_truth_among_solver_output():
         truth_key = canonical_key(inst, truth)
         keys = set()
         for _aid, fam in solve(inst):
-            for sol in expand_family(fam):
+            for sol in expanded_solutions(fam):
                 keys.add(canonical_key(inst, sol))
         assert truth_key in keys
 
@@ -113,7 +113,7 @@ def test_solver_oracle_equality_on_generated():
                 continue
             keys = set()
             for _aid, fam in solve(inst):
-                for sol in expand_family(fam):
+                for sol in expanded_solutions(fam):
                     keys.add(canonical_key(inst, sol))
             oracle = {canonical_key(inst, s) for s in brute_force_solve(inst)}
             assert keys == oracle

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -86,8 +87,8 @@ def test_extract_path_edge_graph():
     assert res
     paths = set()
     for _aid, fam in res:
-        for sol in expand_family(fam):
-            paths.add(extract_path(sol, h))
+        for pi_a, _pi_b, _c_order in expand_family(fam):
+            paths.add(extract_path(pi_a, h))
     assert paths <= {(1, 2), (2, 1)} and paths
 
 
@@ -96,8 +97,8 @@ def test_extract_path_triangle():
     red = reduce_graph(h)
     res = solve(red.instance, max_assignments=None, first_only=True)
     assert res
-    sol = next(iter(expand_family(res[0][1])))
-    path = extract_path(sol, h)
+    pi_a, _pi_b, _c_order = next(iter(expand_family(res[0][1])))
+    path = extract_path(pi_a, h)
     assert sorted(path) == [1, 2, 3]
     for u, v in zip(path, path[1:]):
         assert (min(u, v), max(u, v)) in h.edges
@@ -106,8 +107,8 @@ def test_extract_path_triangle():
 def test_extract_path_single_node():
     h = SimpleGraph(1, frozenset())
     res = solve(reduce_graph(h).instance, max_assignments=None, first_only=True)
-    sol = next(iter(expand_family(res[0][1])))
-    assert extract_path(sol, h) == (1,)
+    pi_a, _pi_b, _c_order = next(iter(expand_family(res[0][1])))
+    assert extract_path(pi_a, h) == (1,)
 
 
 def test_extract_path_rejects_non_adjacent_order():
@@ -149,9 +150,28 @@ def test_reduction_equivalence_tiny():
         naive = naive_solve(red.instance, first_only=True)
         assert bool(naive) == expected
         if expected:
-            for sol in expand_family(fast[0][1]):
-                path = extract_path(sol, h)
+            for pi_a, _pi_b, _c_order in expand_family(fast[0][1]):
+                path = extract_path(pi_a, h)
                 assert sorted(path) == list(range(1, h.node_count + 1))
+
+
+def test_reduce_graph_of_2000_nodes_is_fast():
+    # neighbor lists are built once, not by scanning every edge per node
+    rng = random.Random(2000)
+    edges = set()
+    while len(edges) < 10_000:
+        u, v = rng.sample(range(1, 2001), 2)
+        edges.add((min(u, v), max(u, v)))
+    h = SimpleGraph(2000, frozenset(edges))
+    start = time.perf_counter()
+    red = reduce_graph(h)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+    # a B-fragment per edge end of the augmented graph, except pendant z's
+    assert red.instance.p == 2002 and red.instance.q == 2 * (10_000 + 2000 + 1) - 1
+    for v in (1, 1000, 2000):
+        assert h.neighbors(v) == tuple(sorted(u if w == v else w for u, w in edges if v in (u, w)))
+        assert red.augmented.kappa(v) == len(h.neighbors(v)) + 1   # plus the hub
 
 
 def test_structural_dedup_collapses_reduction():

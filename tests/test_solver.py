@@ -13,12 +13,12 @@ from edd.solver import (
     Solution,
     SolutionFamily,
     _assemble,
+    _dedupe_runs,
     _lex_less,
     canonical_key,
     canonicalize_solution,
     dangler_first_search,
     expand_family,
-    induced_permutation,
     mirror_solution,
     solve,
     solve_labeled,
@@ -32,6 +32,7 @@ from conftest import (
     demo_instance,
     disconnected_instance,
     dup_instance,
+    expanded_solutions,
     multi_dup_instance,
     two_block_instance,
 )
@@ -65,7 +66,7 @@ def slot_shape(family):
 def solution_keys(inst, result):
     keys = set()
     for _aid, fam in result:
-        for sol in expand_family(fam):
+        for sol in expanded_solutions(fam):
             keys.add(canonical_key(inst, sol))
     return keys
 
@@ -142,28 +143,13 @@ def test_reversed_pendant_order_matches_lexsort():
     assert seen_groups > 100 and reversed_families > 10
 
 
-def test_induced_permutation_demo():
+def test_dedupe_runs_rejects_split_runs():
     inst = demo_instance()
     lab = first_labeling(inst)
     by_value = {e.value: k for k, e in enumerate(lab.c_elements)}
-    pc = lab.c_elements.take([by_value[v] for v in (6, 3, 12, 15, 8, 29, 17)])
-    sol = induced_permutation(pc, lab)
-    assert sol.pi_a == (0, 1, 2, 4, 3)
-    assert sol.pi_b == (0, 1, 2)
-    assert sol.a_values(inst) == (9, 12, 15, 37, 17)
-    assert sol.b_values(inst) == (6, 38, 46)
-
-    pc_swapped = lab.c_elements.take([by_value[v] for v in (6, 3, 15, 12, 8, 29, 17)])
-    assert induced_permutation(pc_swapped, lab).pi_a == (0, 2, 1, 4, 3)
-
-
-def test_induced_permutation_rejects_split_runs():
-    inst = demo_instance()
-    lab = first_labeling(inst)
-    by_value = {e.value: k for k, e in enumerate(lab.c_elements)}
-    pc = lab.c_elements.take([by_value[v] for v in (6, 12, 3, 15, 8, 29, 17)])
+    order = np.array([by_value[v] for v in (6, 12, 3, 15, 8, 29, 17)])
     with pytest.raises(NotConsecutiveError) as exc:
-        induced_permutation(pc, lab)
+        _dedupe_runs(lab.a_owners[order], inst.p, "A")
     assert exc.value.kind == "A" and exc.value.index == 0
 
 
@@ -175,8 +161,8 @@ def test_solve_demo():
     assert aid == 0
     sols = list(expand_family(fam))
     assert len(sols) == 2
-    for sol in sols:
-        assert verify_permutation(inst, sol.pi_a, sol.pi_b)
+    for pi_a, pi_b, _c_order in sols:
+        assert verify_permutation(inst, pi_a, pi_b)
 
 
 def test_solve_dup_instance():
@@ -256,7 +242,6 @@ def eager_expansion(fam):
     """Reference: every block ordering in itertools.product order, minus
     the layouts that repeat an (A-values, B-values) pair."""
     inst = fam.labeled
-    elems = list(inst.c_elements)
     base = fam.order.tolist()
     spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist()))
     out, seen = [], set()
@@ -264,14 +249,13 @@ def eager_expansion(fam):
         arr = base[:]
         for (s, e), perm in zip(spans, combo):
             arr[s:e] = perm
-        pc = tuple(elems[k] for k in arr)
         pi_a, pi_b = ([o for i, o in enumerate(owners) if i == 0 or owners[i - 1] != o]
-                      for owners in ([e.a_owner for e in pc], [e.b_owner for e in pc]))
+                      for owners in (inst.a_owners[arr].tolist(), inst.b_owners[arr].tolist()))
         key = (tuple(inst.base.a_lengths[i] for i in pi_a),
                tuple(inst.base.b_lengths[j] for j in pi_b))
         if key not in seen:
             seen.add(key)
-            out.append((tuple(pi_a), tuple(pi_b), pc))
+            out.append((tuple(pi_a), tuple(pi_b), tuple(arr)))
     return out
 
 
@@ -281,7 +265,7 @@ def test_expansion_order_matches_eager_reference():
               for seed in range(12)]
     for inst in cases:
         for _aid, fam in solve(inst, max_assignments=None):
-            got = [(s.pi_a, s.pi_b, tuple(s.pi_c.order)) for s in expand_family(fam)]
+            got = [tuple(tuple(x.tolist()) for x in layout) for layout in expand_family(fam)]
             assert got == eager_expansion(fam)
 
 
@@ -291,7 +275,7 @@ def test_mixed_multiplicity_star_matches_eager_reference():
     inst = EddInstance((sum(leaves),), leaves, (leaves,), tuple((v,) for v in leaves))
     (_aid, fam), = solve(inst)
     assert fam.block_sizes() == (6,)
-    got = [(s.pi_a, s.pi_b, tuple(s.pi_c.order)) for s in expand_family(fam)]
+    got = [tuple(tuple(x.tolist()) for x in layout) for layout in expand_family(fam)]
     assert len(got) == 60
     assert got == eager_expansion(fam)
 
@@ -315,9 +299,9 @@ def test_no_dangler_family_single_expansion():
 def test_consecutiveness_of_expansions():
     for inst in (demo_instance(), dup_instance(), two_block_instance()):
         for _aid, fam in solve(inst):
-            for sol in expand_family(fam):
-                for owners in (tuple(e.a_owner for e in sol.pi_c.order),
-                               tuple(e.b_owner for e in sol.pi_c.order)):
+            for _pi_a, _pi_b, c_order in expand_family(fam):
+                for owners in (fam.labeled.a_owners[c_order].tolist(),
+                               fam.labeled.b_owners[c_order].tolist()):
                     runs = [o for i, o in enumerate(owners)
                             if i == 0 or owners[i - 1] != o]
                     assert len(runs) == len(set(runs))
@@ -326,7 +310,7 @@ def test_consecutiveness_of_expansions():
 def test_canonical_key_orientation_free():
     inst = demo_instance()
     for _aid, fam in solve(inst):
-        for sol in expand_family(fam):
+        for sol in expanded_solutions(fam):
             assert canonical_key(inst, sol) == canonical_key(inst, mirror_solution(sol))
             canon = canonicalize_solution(inst, sol)
             assert canonical_key(inst, canon) == canonical_key(inst, sol)
@@ -402,6 +386,25 @@ def test_duplicate_heavy_oracle_sweep():
     assert mismatches == []
 
 
+def test_expansion_pis_are_owner_runs_of_c_order():
+    # each step rewrites pi_a / pi_b in place; every yielded pair must
+    # still be the owner runs of the yielded C-order, on the oracle
+    # sweep's duplicate-heavy maps and on duplicate-free ones of up to 80
+    # fragments with many blocks
+    cases = [inst for _seed, inst in _duplicate_heavy_instances()]
+    cases += [random_instance(seed, 3 + seed % 40, 3 + seed % 37, 10**6)[0] for seed in range(30)]
+    layouts = 0
+    for inst in cases:
+        for _aid, fam in solve(inst, max_assignments=None):
+            lab = fam.labeled
+            for pi_a, pi_b, c_order in expand_family(fam, max_expansions=500):
+                assert pi_a.dtype == pi_b.dtype == c_order.dtype == np.int64
+                for pi, owners in ((pi_a, lab.a_owners[c_order]), (pi_b, lab.b_owners[c_order])):
+                    assert np.array_equal(pi, owners[np.diff(owners, prepend=-1) != 0])
+                layouts += 1
+    assert layouts > 5000
+
+
 def test_solve_first_only_stops_early():
     inst = dup_instance()
     res = solve(inst, first_only=True)
@@ -457,5 +460,5 @@ def test_solutions_pass_verifier_sweep():
         q = (seed * 3) % 4 + 1
         inst, _ = random_instance(seed + 500, p, q, 300)
         for _aid, fam in solve(inst):
-            for sol in expand_family(fam):
-                assert verify_permutation(inst, sol.pi_a, sol.pi_b)
+            for pi_a, pi_b, _c_order in expand_family(fam):
+                assert verify_permutation(inst, pi_a, pi_b)

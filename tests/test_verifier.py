@@ -6,55 +6,24 @@ from edd.solver import canonical_key
 from edd.verifier import (
     COINCIDENT_CUT,
     SUM_MISMATCH,
-    CoincidentCut,
     OracleCapExceeded,
-    SumMismatch,
     brute_force_solve,
-    layout,
     verify_permutation,
 )
 
 from conftest import demo_instance, dup_instance
 
 
-def test_layout_demo_pieces():
-    inst = demo_instance()
-    lay = layout((0, 1, 2, 4, 3), (0, 1, 2), inst)
-    assert [p.length for p in lay.pieces] == [6, 3, 12, 15, 8, 29, 17]
-    assert lay.total_length == 90
-    assert lay.a_boundaries == (9, 21, 36, 73)
-    assert lay.b_boundaries == (6, 44)
-    # piece owners: the 38-long B-fragment (index 1) covers 3,12,15,8
-    assert sorted(p.length for p in lay.pieces if p.b_index == 1) == [3, 8, 12, 15]
-    assert sum(p.length for p in lay.pieces) == lay.total_length
-
-
-def test_layout_single_piece():
-    inst = EddInstance((5,), (5,), ((5,),), ((5,),))
-    lay = layout((0,), (0,), inst)
-    assert len(lay.pieces) == 1 and lay.pieces[0].length == 5
-
-
-def test_layout_coincident_cut():
-    # a-prefix 18 collides with b-prefix 5+13
-    inst = dup_instance()
-    with pytest.raises(CoincidentCut) as exc:
-        layout((0, 1), (1, 4, 3, 2, 0), inst)
-    assert exc.value.position == 18
-    assert exc.value.rule == COINCIDENT_CUT
-
-
-def test_layout_sum_mismatch():
+def test_verify_sum_mismatch():
     inst = EddInstance((5, 4), (5,), ((5,), (4,)), ((5,),))
-    with pytest.raises(SumMismatch) as exc:
-        layout((0, 1), (0,), inst)
-    assert exc.value.rule == SUM_MISMATCH
+    res = verify_permutation(inst, (0, 1), (0,))
+    assert not res and res.reason == SUM_MISMATCH
 
 
-def test_layout_rejects_non_permutation():
+def test_verify_rejects_non_permutation():
     inst = demo_instance()
     with pytest.raises(ValueError):
-        layout((0, 0, 2, 4, 3), (0, 1, 2), inst)
+        verify_permutation(inst, (0, 0, 2, 4, 3), (0, 1, 2))
 
 
 def test_verify_demo_solution():
@@ -70,6 +39,7 @@ def test_verify_single():
 
 
 def test_verify_coincident_is_verdict_not_crash():
+    # a-prefix 18 collides with b-prefix 5+13
     res = verify_permutation(dup_instance(), (0, 1), (1, 4, 3, 2, 0))
     assert not res and res.reason == COINCIDENT_CUT
 

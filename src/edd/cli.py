@@ -33,6 +33,7 @@ from .instance import (
 from .reduction import (
     MalformedSolution,
     PathSearchCapExceeded,
+    ReductionCapExceeded,
     extract_path,
     parse_graph,
     reduce_graph,
@@ -547,7 +548,8 @@ def main(argv=None) -> int:
         return _fail(str(err), ExitStatus.USAGE)
     except OSError as err:   # a file that cannot be read or written
         return _fail(str(err), ExitStatus.USAGE)
-    except (OracleCapExceeded, AssignmentCapExceeded, PathSearchCapExceeded) as err:
+    except (OracleCapExceeded, AssignmentCapExceeded, PathSearchCapExceeded,
+            ReductionCapExceeded) as err:
         return _fail(str(err), ExitStatus.CAP_EXCEEDED)
 
 

@@ -5,12 +5,13 @@ exactly when its graph is a tree whose diameter carries everything else
 as 2-node danglers.  Walking the diameter and reading dangler groups as
 interchangeable blocks yields a compact family describing every valid
 layout; duplicate values are handled by running the walk once per
-duplicate assignment.
+class of duplicate assignments that relabel one another.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -369,22 +370,6 @@ def expand_family(fam: SolutionFamily,
 
 # --- duplicate assignments -------------------------------------------------
 
-def _copy_label(value: int, owner: int, sets: tuple[tuple[int, ...], ...]):
-    # single-element fragments of the same length are interchangeable
-    if sets[owner] == (value,):
-        return ("s",)
-    return ("f", owner)
-
-
-def _lehmer_rank(perm: tuple[int, ...]) -> int:
-    m = len(perm)
-    rank = 0
-    for i in range(m):
-        smaller = sum(1 for j in range(i + 1, m) if perm[j] < perm[i])
-        rank = rank * (m - i) + smaller
-    return rank
-
-
 def _distinct_matchings(a_labels, b_labels, cap: int | None):
     """One representative bijection per distinct pairing multiset.
 
@@ -392,94 +377,95 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
     label) produce digest graphs identical up to renaming interchangeable
     fragments, hence identical value-level families.  Each class is
     represented by its first bijection in lexicographic order.  Returns
-    (perm, rank-in-full-lex-enumeration) pairs, ranks ascending.
+    (perm, rank-in-full-lex-enumeration) pairs, ranks ascending; with a
+    cap c, the first c + 1 of them.
+
+    One depth-first search in lexicographic order lists just these:
+    position t takes some BA-side label's smallest free slot, labels
+    ascending by that slot, and bans for later positions with its AB-side
+    label the labels tried before at t (swapping them would give a
+    smaller bijection of the same class).  Ranks accumulate by Horner's
+    rule over the free slots below each pick.
     """
-    # positions grouped by equal AB-side label; candidates ranked by
-    # (BA-side label, index) so each group's picks can be forced into
-    # ascending rank order, which makes every pairing multiset unique
     m = len(a_labels)
-    pos_order = sorted(range(m), key=lambda t: (a_labels[t], t))
-    cand_order = sorted(range(m), key=lambda s: (b_labels[s], s))
-    used = [False] * m
-    choice_rank = [0] * m
-    chosen_slot = [0] * m
+    slots: dict = {}   # BA-side label -> its free slots, descending
+    for s in range(m - 1, -1, -1):
+        slots.setdefault(b_labels[s], []).append(s)
+    heads = sorted((ss[-1], label) for label, ss in slots.items())   # (smallest free slot, label)
+    free = list(range(m))
+    banned = {a: set() for a in a_labels}   # AB-side label -> BA-side labels it may not take
+    perm = [0] * m
     out: list[tuple[tuple[int, ...], int]] = []
 
-    def picks(d: int):
-        """Pick each slot that position ``pos_order[d]`` may take, one
-        per BA-side label; release it when asked for the next."""
-        t = pos_order[d]
-        start = 0
-        if d and a_labels[pos_order[d - 1]] == a_labels[t]:
-            start = choice_rank[d - 1] + 1
-        tried = set()
-        for r in range(start, m):
-            s = cand_order[r]
-            if used[s] or b_labels[s] in tried:
+    def picks(t: int, rank: int):
+        """Take in turn each label position t may take; yield each pick's rank so far."""
+        ban = banned[a_labels[t]]
+        tried = []
+        i = 0
+        while i < len(heads):
+            s, label = heads[i]
+            if label in ban:
+                i += 1
                 continue
-            tried.add(b_labels[s])
-            used[s] = True
-            choice_rank[d] = r
-            chosen_slot[d] = s
-            yield s
-            used[s] = False
+            below = bisect_left(free, s)
+            del free[below], heads[i]
+            own = slots[label]
+            own.pop()
+            if own:
+                insort(heads, (own[-1], label))
+            perm[t] = s
+            yield rank * (m - t) + below
+            if own:
+                del heads[bisect_left(heads, (own[-1], label))]
+            own.append(s)
+            heads.insert(i, (s, label))
+            free.insert(below, s)
+            ban.add(label)
+            tried.append(label)
+            i += 1
+        ban.difference_update(tried)
 
     # depth-first, one generator per depth on an explicit stack: the
     # depth is the number of copies, past Python's recursion limit
-    stack = [picks(0)]
+    stack = [picks(0, 0)]
     while stack and (cap is None or len(out) <= cap):
-        if next(stack[-1], None) is None:
+        rank = next(stack[-1], None)
+        if rank is None:
             stack.pop()
         elif len(stack) < m:
-            stack.append(picks(len(stack)))
+            stack.append(picks(len(stack), rank))
         else:
-            need = Counter((a_labels[t], b_labels[s]) for t, s in zip(pos_order, chosen_slot))
-            perm = _first_bijection(a_labels, b_labels, need)
-            out.append((perm, _lehmer_rank(perm)))
-    out.sort(key=lambda pr: pr[1])
+            out.append((tuple(perm), rank))
     return out
-
-
-def _first_bijection(a_labels, b_labels, need: Counter) -> tuple[int, ...]:
-    # greedy is exact: whatever pairs remain needed can always be placed
-    # on the remaining positions and slots, whose labels they match
-    used = [False] * len(b_labels)
-    perm = []
-    for a in a_labels:
-        s = next(s for s, b in enumerate(b_labels) if not used[s] and need[(a, b)])
-        used[s] = True
-        need[(a, b_labels[s])] -= 1
-        perm.append(s)
-    return tuple(perm)
 
 
 def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
     """(assignment id, labeling) for one assignment per class of
     assignments that provably relabel one another, ids ascending.
 
+    A copy's label is -1 when its owner fragment has one sub-length
+    (such fragments of one length are interchangeable), else its owner.
     Raises AssignmentCapExceeded before the first labeling if the
     representatives exceed ``max_assignments``.
     """
     plan = _labeling_plan(inst)
-    per_group: list[list[tuple[tuple[int, ...], int]]] = []
-    radices: list[int] = []
-    total = 1
+    _, _, ab_offsets, _, _, ba_offsets = inst._flats()
+    a_label = np.where(np.diff(ab_offsets)[plan.a_owners] == 1, -1, plan.a_owners)
+    b_label = np.where(np.diff(ba_offsets) == 1, -1, np.arange(inst.q))
+    per_group, total = [], 1
+    radices = [math.factorial(len(cpos)) for cpos, _ in plan.groups]
     for cpos, owners in plan.groups:
-        value = int(plan.values[cpos[0]])
-        a_labels = [_copy_label(value, int(plan.a_owners[cp]), inst.ab_sets) for cp in cpos]
-        b_labels = [_copy_label(value, o, inst.ba_sets) for o in owners]
-        matchings = _distinct_matchings(a_labels, b_labels, max_assignments)
+        matchings = _distinct_matchings(a_label[cpos].tolist(), b_label[owners].tolist(),
+                                        max_assignments)
         per_group.append(matchings)
-        radices.append(math.factorial(len(cpos)))
         total *= len(matchings)
         if max_assignments is not None and total > max_assignments:
             raise AssignmentCapExceeded(total, max_assignments, distinct=True)
-    suffix = [1] * (len(radices) + 1)
-    for i in range(len(radices) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * radices[i]
 
     for combo in product(*per_group):
-        aid = sum(rank * suffix[i + 1] for i, (_perm, rank) in enumerate(combo))
+        aid = 0
+        for (_perm, rank), radix in zip(combo, radices):
+            aid = aid * radix + rank
         yield aid, _labeling(inst, plan, [perm for perm, _rank in combo])
 
 
@@ -513,16 +499,15 @@ def solve(inst: EddInstance, *,
           first_only: bool = False) -> SolveResult:
     """Solve a consistent instance across all duplicate assignments.
 
-    Assignments that provably relabel one another are skipped up front,
-    which collapses the factorial blowup on symmetric inputs; the ids of
-    the rest still match the full enumeration order of
-    ``label_duplicates``.  Each is screened with the linear pipeline, and
-    families with equal ``family_key()`` are reported once, keyed by the
-    first assignment id that produced them; the keys are built only once
-    a second family appears.  The labeling behind the first violation is
-    kept for naming its witness.  ``first_only`` stops at the first
-    family (existence checks).  ``max_assignments`` must be at least 1
-    or None (no cap).
+    Assignments that provably relabel one another form a class, and the
+    linear pipeline runs once per class, on its first assignment in the
+    enumeration order of ``label_duplicates``, whose id it reports; this
+    collapses the factorial blowup on symmetric inputs.  Families with
+    equal ``family_key()`` are reported once, under the first id that
+    produced them; the keys are built only once a second family appears.
+    The labeling behind the first violation is kept for naming its
+    witness.  ``first_only`` stops at the first family (existence
+    checks).  ``max_assignments`` must be at least 1 or None (no cap).
     """
     if max_assignments is not None and max_assignments < 1:
         raise ValueError(f"max_assignments must be at least 1, got {max_assignments}")

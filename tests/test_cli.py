@@ -8,6 +8,7 @@ import pytest
 from edd.cli import main
 from edd.generator import random_instance
 from edd.instance import EddInstance, serialize_instance
+from edd.reduction import MAX_REDUCTION_NODES
 
 from conftest import DEMO_TEXT, deep_subtree_instance, dup_instance
 
@@ -446,7 +447,7 @@ def test_solve_star_of_2000_equal_leaves(capsys, tmp_path):
     assert out.splitlines()[:3] == ["status: ok", "assignments: 1", "assignment: 0"]
 
 
-def _edd_capped(argv, stdout=subprocess.PIPE):
+def _edd_capped(argv, stdout=subprocess.PIPE, timeout=600):
     """``edd`` in a child process whose address space is capped at 2 GB.
 
     The child reads its arguments from stdin, one per line, because a
@@ -460,7 +461,7 @@ def _edd_capped(argv, stdout=subprocess.PIPE):
 
     entry = "import sys; from edd.cli import main; sys.exit(main(sys.stdin.read().split('\\n')))"
     return subprocess.run([sys.executable, "-c", entry], input="\n".join(argv), stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, preexec_fn=limit, timeout=600)
+                          stderr=subprocess.PIPE, text=True, preexec_fn=limit, timeout=timeout)
 
 
 def test_solve_big_maps_within_memory_cap(capsys, tmp_path):
@@ -492,6 +493,33 @@ def test_solve_all_streams_big_map_within_memory_cap(tmp_path):
         random_instance(1, 10_001, 10_000, 4 * 10**17, duplicate_free=True)[0]))
     proc = _edd_capped(["solve", str(big), "--all", "--emit-families"], stdout=subprocess.DEVNULL)
     assert (proc.returncode, proc.stderr) == (3, "")   # 3: the 10,000-layout cap cut it short
+
+
+def test_dense_duplicates_end_at_the_assignment_cap(tmp_path):
+    # most lengths repeat, in groups of up to 510 copies: the matching
+    # search lists classes in id order and stops one past the cap
+    maps = [random_instance(7, 5_001, 4_999, 200_000)[0],
+            random_instance(4, 300, 300, 2000)[0],
+            random_instance(3, 500, 500, 10**4)[0]]
+    for k, inst in enumerate(maps):
+        path = tmp_path / f"dup{k}.edd"
+        path.write_text(serialize_instance(inst))
+        proc = _edd_capped(["solve", str(path), "--max-solutions", "0"], timeout=30)
+        assert (proc.returncode, proc.stderr) == (3, ""), proc.stderr
+        assert proc.stdout == ("cap-exceeded: more than 10080 distinct duplicate "
+                               "assignments (cap 10080)\n")
+
+
+def test_reduction_node_cap(tmp_path):
+    # the hub joins every node: two billion nodes would be two billion edges
+    gpath = tmp_path / "huge.graph"
+    gpath.write_text("GRAPH 2000000000\n1 2\n")
+    orders = tmp_path / "orders.txt"
+    orders.write_text("PA 1\nPB 1\n")
+    for argv in (["reduce-hp", str(gpath)], ["extract-hp", str(gpath), str(orders)]):
+        proc = _edd_capped(argv, timeout=30)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: 2000000000 nodes exceed the reduction cap {MAX_REDUCTION_NODES}\n"
 
 
 def test_solve_then_verify_at_1e5_within_memory_cap(tmp_path):

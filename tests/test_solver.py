@@ -6,7 +6,13 @@ import pytest
 
 from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
 from edd.generator import InfeasibleParams, random_instance
-from edd.instance import AssignmentCapExceeded, EddInstance, label_duplicates
+from edd.instance import (
+    AssignmentCapExceeded,
+    EddInstance,
+    label_duplicates,
+    parse_instance,
+    serialize_instance,
+)
 from edd.solver import (
     NoSolution,
     NotConsecutiveError,
@@ -350,6 +356,14 @@ def test_solve_rejects_non_positive_assignment_cap():
             solve(demo_instance(), max_assignments=cap)
 
 
+def test_solve_reads_labels_from_the_flats():
+    # the tuple-of-tuples views are for the API edge; solving a parsed
+    # instance with repeated lengths never builds them
+    inst = parse_instance(serialize_instance(multi_dup_instance()))
+    assert len(solve(inst)) == 2
+    assert "ab_sets" not in vars(inst) and "ba_sets" not in vars(inst)
+
+
 def test_family_key_only_built_to_compare(monkeypatch):
     calls = []
     original = SolutionFamily.family_key
@@ -425,23 +439,24 @@ def _distinct_by_scan(a_labels, b_labels):
 def test_distinct_matching_strategies_agree():
     import random as _random
 
-    from edd.solver import _distinct_matchings, _lehmer_rank
+    from edd.solver import _distinct_matchings
 
     rng = _random.Random(0)
-    pool = [("s",), ("f", 1), ("f", 2), ("f", 3)]
+    pool = [("s",), ("f", 1), ("f", 2), ("f", 3), ("f", 4)]
     cases = []
     for _trial in range(200):
-        m = rng.randint(1, 6)
+        m = rng.randint(1, 7)
         cases.append(([rng.choice(pool) for _ in range(m)],
                       [rng.choice(pool) for _ in range(m)]))
     # nine copies: the first size the solver never scanned
     rng = _random.Random(9)
     cases.append(([rng.choice(pool) for _ in range(9)], [rng.choice(pool) for _ in range(9)]))
     for al, bl in cases:
-        rec = _distinct_matchings(al, bl, None)
-        assert rec == _distinct_by_scan(al, bl)
-        for p, r in rec:
-            assert _lehmer_rank(p) == r
+        full = _distinct_by_scan(al, bl)
+        assert _distinct_matchings(al, bl, None) == full
+        # a capped list is the first cap + 1 classes
+        cap = rng.randint(1, len(full))
+        assert _distinct_matchings(al, bl, cap) == full[:cap + 1]
     # symmetric cases collapse completely
     assert len(_distinct_matchings([("f", i) for i in range(10)],
                                    [("s",)] * 10, None)) == 1

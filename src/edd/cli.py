@@ -10,6 +10,7 @@ solution or invalid data, 2 usage or format error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -408,7 +409,8 @@ def cmd_gen(args, out: _Output) -> int:
 def cmd_reduce_hp(args, out: _Output) -> int:
     h = parse_graph(_read_file(args.graphfile))
     red = reduce_graph(h)
-    lines = [serialize_instance(red.instance).rstrip("\n")]
+    instance_text = serialize_instance(red.instance)
+    lines = [instance_text.rstrip("\n")]
     for i, v in enumerate(red.a_nodes, start=1):
         lines.append(f"# node A{i} = {red.node_label(v)}")
     b_labels = [red.node_label(v) if c == 0 else f"{red.node_label(v)}({c})"
@@ -420,7 +422,7 @@ def cmd_reduce_hp(args, out: _Output) -> int:
             fh.write(text)
     elif not out.quiet and not out.as_json:
         sys.stdout.write(text)
-    out.payload = {"instance": serialize_instance(red.instance),
+    out.payload = {"instance": instance_text,
                    "aNodes": [red.node_label(v) for v in red.a_nodes],
                    "bNodes": b_labels}
     out.emit_json()
@@ -467,7 +469,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so
+    every ``main`` call after the first reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON object")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")

@@ -12,9 +12,12 @@ from.
 
 Internally the graph is contracted: A/B fragments are the nodes and
 each C-element is an edge between its two owners.  One numpy engine
-screens every graph size: an Euler tour ranked by pointer jumping gives
-connectivity and tree distances for the two-pass diameter, and masks
-give the danglers.
+screens every graph size, on the stripped graph: the contracted graph
+without its leaves (about half the nodes of a solvable map), which has
+the same cycles and, unless an edge joins two leaves, the same
+connectivity.  An Euler tour of it, ranked by pointer jumping, gives
+connectivity and tree distances for the two-pass diameter, a leaf lying
+one step past its neighbour, and masks give the danglers.
 """
 
 from __future__ import annotations
@@ -143,16 +146,26 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     """Decide tree-ness and the dangler condition on one diameter.
 
     The graph always has one more node than edges, so it is a tree
-    exactly when the Euler-tour walk from node A1 covers every edge.
-    Otherwise the verdict describes A1's component: HAS_CYCLE with a
-    cycle when it holds as many C-edges as nodes, NOT_CONNECTED with the
-    smallest unreached node when it is a tree itself.  On a tree the
-    diameter is found by two farthest-node passes from the smallest
-    leaf, each breaking ties toward the smallest node id, and every
-    C-edge hanging off it must reach a leaf; the smallest one that does
-    not is the DEEP_SUBTREE witness.  A tree's verdict carries the
-    diameter as the spine, link and pendant arrays of ``_TreePayload``.
-    O(n log n) array work, with no Python loop over nodes.
+    exactly when it is connected.  The screen runs on the stripped
+    graph: the contracted graph with its leaves, and the C-edges to
+    them, removed.  A leaf changes neither connectivity nor acyclicity,
+    unless its one neighbour is a leaf too (a two-node component, so the
+    graph is not connected); otherwise the graph is a tree exactly when
+    the stripped graph is one, which the Euler-tour walk from A1, or
+    from A1's neighbour when A1 is a leaf, shows by reaching all of it.
+    When it is not, the verdict describes A1's component: HAS_CYCLE with
+    a cycle, which never passes through a leaf, when the component holds
+    as many C-edges as nodes; NOT_CONNECTED with the smallest node
+    outside it when it is a tree itself.  On a tree the diameter is found
+    by two farthest-node passes from the smallest leaf, each breaking
+    ties toward the smallest node id.  Distances come from the stripped
+    tree, a leaf lying one step past its neighbour.  Every C-edge hanging
+    off the diameter must reach a leaf; the smallest one that does not is
+    the DEEP_SUBTREE witness.  A tree's verdict carries the diameter as
+    the spine, link and pendant arrays of ``_TreePayload``, the pendants
+    ordered by one sort of (spine position, rank) keys, the rank being
+    the labeling's (value, copy) order.  O(n log n) array work, with no
+    Python loop over nodes.
     """
     p, q, n = g.p, g.q, g.n
     if n == 1:
@@ -161,32 +174,42 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     nn = p + q
     u = g.a_owners
     w = g.b_owners + p
-    tail = np.concatenate((u, w))
-    head = np.concatenate((w, u))
-    deg = np.bincount(tail, minlength=nn)
-    walk = _face_walk(tail, deg, 0)
-    if len(walk) < 2 * n:
-        return StructureVerdict(False, _off_tree_violation(g, walk, tail, head), None)
+    leaf = np.concatenate((np.bincount(u, minlength=p), np.bincount(g.b_owners, minlength=q))) == 1
+    # a leaf's one neighbour; every other node is its own anchor
+    anchor = np.arange(nn, dtype=np.int64)
+    at_u, at_w = leaf[u], leaf[w]
+    for ends, other, at in ((u, w, at_u), (w, u, at_w)):
+        k = np.flatnonzero(at)
+        anchor[ends[k]] = other[k]
+    inner = np.flatnonzero(~(at_u | at_w))   # the stripped graph's C-edges
+    m = len(inner)
+    tail = np.concatenate((u[inner], w[inner]))
+    head = np.concatenate((w[inner], u[inner]))
+    root = int(anchor[0])
+    walk = _face_walk(tail, root)
+    # without two-leaf edges the stripped graph has one more node than
+    # edges, so it is a tree when the walk covers it and no node of it is bare
+    if (at_u & at_w).any() or (m and (len(walk) < 2 * m or np.count_nonzero(
+            np.bincount(tail, minlength=nn)) < nn - np.count_nonzero(leaf))):
+        return StructureVerdict(False, _off_tree_violation(g, walk, tail, head, inner, anchor,
+                                                           root), None)
 
-    # depth along the Euler tour from node 0: a dart steps down unless
-    # its edge was walked before; first[x] is where the tour reaches x
-    walked_at = np.empty(2 * n, np.int64)
-    walked_at[walk] = np.arange(2 * n)
-    down = np.arange(2 * n) < walked_at[(walk + n) % (2 * n)]
-    depth_seq = np.concatenate(([0], np.cumsum(np.where(down, 1, -1))))
-    first = np.zeros(nn, np.int64)
-    first[head[walk[down]]] = np.flatnonzero(down) + 1
-    depth = depth_seq[first]
+    del tail, at_u, at_w, inner   # peak memory: the distances below hold several node arrays
+    depth_seq, first_at = _tour_places(walk, head, anchor)
+    del walk, head
+    depth_at = depth_seq[first_at] + leaf   # a leaf lies one deeper than its anchor
 
     def dist_from(x):
-        # the least depth the tour passes between x and y is their lca's
-        f = first[x]
+        # x is a leaf; the least depth the tour passes between two places is their lca's
+        f = first_at[x]
         low = np.empty_like(depth_seq)
         low[f:] = np.minimum.accumulate(depth_seq[f:])
         low[:f + 1] = np.minimum.accumulate(depth_seq[f::-1])[::-1]
-        return depth[x] + depth - 2 * low[first]
+        dist = depth_at[x] + depth_at - 2 * low[first_at]
+        dist[x] = 0
+        return dist
 
-    start = int(np.argmax(deg == 1))
+    start = int(np.argmax(leaf))
     e1 = int(np.argmax(dist_from(start)))
     d_e1 = dist_from(e1)
     e2 = int(np.argmax(d_e1))
@@ -199,17 +222,17 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     edges = np.empty(length, np.int64)
     edges[np.minimum(pos[u[diam_edges]], pos[w[diam_edges]])] = diam_edges
     path = np.empty(length + 1, np.int64)
-    path[pos[on_diam]] = np.flatnonzero(on_diam)
+    diam_nodes = np.flatnonzero(on_diam)
+    path[pos[diam_nodes]] = diam_nodes
 
     hanging = np.flatnonzero(on_u ^ on_w)
     att = np.where(on_u[hanging], u[hanging], w[hanging])
-    leaf = np.where(on_u[hanging], w[hanging], u[hanging])
-    deep = deg[leaf] != 1
+    tip = np.where(on_u[hanging], w[hanging], u[hanging])
+    deep = ~leaf[tip]
     # the two diameter terminals join the end blocks like any other pendant
     pend_c = np.concatenate((hanging[~deep], edges[[0, -1]]))
     pend_pos = np.concatenate((pos[att[~deep]], pos[path[[1, -2]]])) - 1
-    lab = g.labeled
-    by_pos = np.lexsort((lab.copy_ids[pend_c], lab.values[pend_c], pend_pos))
+    by_pos = np.argsort(pend_pos * n + g.labeled.rank[pend_c])
     payload = _TreePayload(False, path[1:-1], edges[1:-1], pend_c[by_pos], pend_pos[by_pos])
     violation = None
     if deep.any():
@@ -217,30 +240,46 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     return StructureVerdict(True, violation, payload)
 
 
-def _face_walk(tail: np.ndarray, deg: np.ndarray, root: int) -> np.ndarray:
+def _tour_places(walk: np.ndarray, head: np.ndarray, anchor: np.ndarray):
+    """The depth at each step of an Euler tour from its root, and where
+    the tour first reaches each node's anchor.  A dart steps down unless
+    its edge was walked before."""
+    m = len(walk) // 2
+    walked_at = np.empty(2 * m, np.int64)
+    walked_at[walk] = np.arange(2 * m)
+    down = np.arange(2 * m) < walked_at[np.where(walk < m, walk + m, walk - m)]
+    depth_seq = np.concatenate(([0], np.cumsum(np.where(down, 1, -1))))
+    first = np.zeros(len(anchor), np.int64)
+    first[head[walk[down]]] = np.flatnonzero(down) + 1
+    return depth_seq, first[anchor]
+
+
+def _face_walk(tail: np.ndarray, root: int) -> np.ndarray:
     """Darts, in walk order, of the closed walk that starts with
     ``root``'s first dart and leaves every node it reaches by the dart
     that follows, around that node, the reverse of the dart it came by.
 
-    Dart k < n runs along C-edge k from its A-owner to its B-owner, dart
-    n + k back; the darts around a node are ordered cyclically by index.
-    On a tree the walk is an Euler tour: each edge once in each
-    direction.  It is ranked by pointer jumping, in log2(2n) rounds.
+    Of e edges, edge k gives dart k, from ``tail[k]`` to ``tail[e + k]``,
+    and dart e + k back; the darts around a node are in a fixed cyclic
+    order.  On a tree the walk is an Euler tour: each edge once in each
+    direction.  It is ranked by pointer jumping, in log2(2e) rounds.
     """
     m = len(tail)
-    if not deg[root]:
-        return np.empty(0, np.int64)
     # work on slots: darts sorted by tail, so a node's darts are adjacent
     by_tail = np.argsort(tail)
+    sorted_tail = tail[by_tail]
+    s0 = int(np.searchsorted(sorted_tail, root))
+    if s0 == m or sorted_tail[s0] != root:
+        return np.empty(0, np.int64)
+    # each slot turns to the next around its node, a node's last to its first
+    last = np.flatnonzero(sorted_tail[1:] != sorted_tail[:-1])
+    del sorted_tail
+    turn = np.arange(1, m + 1)
+    turn[np.append(last, m - 1)] = np.concatenate(([0], last + 1))
     slot = np.empty(m, np.int64)
     slot[by_tail] = np.arange(m)
-    offsets = np.concatenate(([0], np.cumsum(deg)))
-    turn = np.arange(1, m + 1)
-    used = deg > 0
-    turn[offsets[1:][used] - 1] = offsets[:-1][used]
     succ = np.append(turn[slot[(by_tail + m // 2) % m]], m)
-    s0 = offsets[root]
-    del slot, turn, offsets  # peak memory: ranking holds four arrays of this size
+    del slot, turn  # peak memory: ranking holds four arrays of this size
     succ[succ == s0] = m  # cut the walk just before it returns to its first dart
     rank = np.ones(m + 1, np.int64)
     rank[m] = 0
@@ -254,33 +293,42 @@ def _face_walk(tail: np.ndarray, deg: np.ndarray, root: int) -> np.ndarray:
     return out
 
 
-def _off_tree_violation(g: DigestGraph, walk, tail, head) -> StructureViolation:
+def _off_tree_violation(g: DigestGraph, walk, tail, head, inner, anchor,
+                        root: int) -> StructureViolation:
     """Cycle or unreached node, judged on the component of node 0.
 
-    The walk from node 0 covers that component when it is a tree.  When
-    it is not, the walk uses at least as many edges as it reaches nodes:
-    were its edges a tree, it would pass each both ways, so turn through
-    every dart around each node it reaches and cover the component.
+    ``walk`` runs on the stripped graph from ``root``, whose dart k and
+    m + k are C-edge ``inner[k]``.  It covers root's component of the
+    stripped graph when that is a tree.  When it is not, the walk uses
+    at least as many edges as it reaches nodes: were its edges a tree,
+    it would pass each both ways, so turn through every dart around each
+    node it reaches and cover the component.  Node 0's component is the
+    nodes reached and their leaves, or node 0 and root when both are
+    leaves.
     """
-    p, n, nn = g.p, g.n, g.p + g.q
-    visits = np.concatenate(([0], head[walk]))
+    p, nn, m = g.p, g.p + g.q, len(inner)
+    heads = head[walk]
     reached = np.zeros(nn, dtype=bool)
-    reached[visits] = True
-    walked = np.zeros(n, dtype=bool)
-    walked[walk % n] = True
+    reached[root] = True
+    reached[heads] = True
+    walked = np.zeros(m, dtype=bool)
+    walked[np.where(walk < m, walk, walk - m)] = True
     if walked.sum() < reached.sum():
+        reached |= reached[anchor]
         return StructureViolation(NOT_CONNECTED, (_contracted_ref(p, int(np.argmin(reached))),))
     # each node's first entry is a tree edge; any other edge walked closes a cycle
-    nodes, first = np.unique(visits, return_index=True)
-    entry = walk[first[1:] - 1]
+    nodes, first = np.unique(heads, return_index=True)
+    entered = nodes != root
+    nodes, entry = nodes[entered], walk[first[entered]]
     par = np.full(nn, -1, dtype=np.int64)
-    par[nodes[1:]] = tail[entry]
+    par[nodes] = tail[entry]
     pare = np.full(nn, -1, dtype=np.int64)
-    pare[nodes[1:]] = entry % n
-    walked[entry % n] = False
+    entry_edge = np.where(entry < m, entry, entry - m)
+    pare[nodes] = inner[entry_edge]
+    walked[entry_edge] = False
     k = int(np.argmax(walked))
     return StructureViolation(HAS_CYCLE, _extract_cycle(
-        g, par.tolist(), pare.tolist(), int(tail[k]), int(head[k]), k))
+        g, par.tolist(), pare.tolist(), int(tail[k]), int(head[k]), int(inner[k])))
 
 
 def _extract_cycle(g: DigestGraph, par, pare, u, w, k) -> tuple[NodeRef, ...]:

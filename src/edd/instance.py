@@ -169,6 +169,32 @@ class EddInstance:
         """``a_lengths`` and ``b_lengths`` as int64 arrays."""
         return self._a, self._b
 
+    @cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the AB and BA flats in (value, position) order:
+        each side sorted once, for ``validate_consistency`` and the
+        labeling plan alike."""
+        return _rank(self._ab[0]), _rank(self._ba[0])
+
+
+def _rank(values: np.ndarray) -> np.ndarray:
+    """The order a stable argsort gives, from default-kind sorts.  When
+    every (value, position) pair fits one int64 key, as it does for
+    lengths below (2^63 - 1) / n, that is one argsort of those distinct
+    keys.  Otherwise it is one argsort of the values, then, only when
+    some values repeat, one more over the distinct keys (tie run,
+    position) to put each run in position order."""
+    n = len(values)
+    if n and int(values.max()) < MAX_LENGTH // n:
+        return np.argsort(values * n + np.arange(n))
+    order = np.argsort(values)
+    sv = values[order]
+    starts_run = sv[1:] != sv[:-1]
+    if not starts_run.all():
+        run = np.concatenate(([0], np.cumsum(starts_run)))
+        order = order[np.argsort(run * n + order)]
+    return order
+
 
 class LabeledLength(NamedTuple):
     """One element of C: a sub-fragment length tagged with its owners.
@@ -242,7 +268,8 @@ class LabeledInstance:
 
     The parallel int64 arrays are the canonical storage; ``c_elements``
     stacks them into a CPermutation.  Elements are ordered by (a_owner,
-    ascending value), i.e. the flattened AB side.
+    ascending value), i.e. the flattened AB side.  ``rank`` gives each
+    element's place in (value, copy_id) order, a permutation of 0..n-1.
     """
 
     base: EddInstance
@@ -250,6 +277,7 @@ class LabeledInstance:
     a_owners: np.ndarray
     b_owners: np.ndarray
     copy_ids: np.ndarray
+    rank: np.ndarray
 
     @property
     def n(self) -> int:
@@ -477,13 +505,26 @@ def _length(tok: str, line_no: int) -> int:
 def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np.ndarray,
               p: int, q: int) -> EddInstance:
     """The instance of the lines read: their lengths in file order, their
-    length counts, indices and kinds."""
-    kinds = np.repeat(tags, sizes)
-    owner = np.repeat(index - 1, sizes)
-    ab, ba = kinds == 2, kinds == 3
+    length counts, indices and kinds.
+
+    When the lines come as ``serialize_instance`` writes them (A, B, then
+    AB and BA in index order), each side is a slice of ``values``;
+    otherwise each length finds its side and owner through per-length
+    kind and index arrays."""
+    if len(tags) == p + q + 2 and (tags[:2] == (0, 1)).all() and (tags[2:p + 2] == 2).all() \
+            and (tags[p + 2:] == 3).all() and (index[2:p + 2] == np.arange(1, p + 1)).all() \
+            and (index[p + 2:] == np.arange(1, q + 1)).all():
+        a, b, ab, ba = np.split(values, np.cumsum(sizes)[[0, 1, p + 1]])
+        ab_owner = np.repeat(np.arange(p, dtype=np.int64), sizes[2:p + 2])
+        ba_owner = np.repeat(np.arange(q, dtype=np.int64), sizes[p + 2:])
+    else:
+        kinds = np.repeat(tags, sizes)
+        owner = np.repeat(index - 1, sizes)
+        is_ab, is_ba = kinds == 2, kinds == 3
+        a, b, ab, ba = values[kinds == 0], values[kinds == 1], values[is_ab], values[is_ba]
+        ab_owner, ba_owner = owner[is_ab], owner[is_ba]
     inst = EddInstance.__new__(EddInstance)
-    inst._init(values[kinds == 0], values[kinds == 1],
-               _grouped(values[ab], owner[ab], p), _grouped(values[ba], owner[ba], q))
+    inst._init(a, b, _grouped(ab, ab_owner, p), _grouped(ba, ba_owner, q))
     return inst
 
 
@@ -517,19 +558,18 @@ def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return csum[offsets[1:]] - csum[offsets[:-1]]
 
 
-def _check_sums(lengths, values, offsets, rule, label, violations):
+def _check_sums(lengths: np.ndarray, values, offsets, rule, label, violations):
     sums = _segment_sums(values, offsets)
-    want = np.asarray(lengths, dtype=np.int64)
-    bad = np.flatnonzero(sums != want)
+    bad = np.flatnonzero(sums != lengths)
     if len(values) and int(values.max()) * int(np.diff(offsets).max()) >= 2**63:
         # some segment's sum may wrap in int64; redo exactly in Python.
         exact = [sum(seg.tolist()) for seg in np.split(values, offsets[1:-1])]
-        bad = np.flatnonzero(np.fromiter((e != w for e, w in zip(exact, lengths)),
+        bad = np.flatnonzero(np.fromiter((e != w for e, w in zip(exact, lengths.tolist())),
                                          dtype=bool, count=len(lengths)))
         sums = exact
     for i in bad.tolist():
         violations.append(ConsistencyViolation(
-            rule, f"{label.lower()}_{i + 1} = {lengths[i]} but {label}{'B' if label == 'A' else 'A'}_{i + 1} sums to {int(sums[i])}"))
+            rule, f"{label.lower()}_{i + 1} = {int(lengths[i])} but {label}{'B' if label == 'A' else 'A'}_{i + 1} sums to {int(sums[i])}"))
 
 
 def validate_consistency(inst: EddInstance) -> ConsistencyReport:
@@ -541,17 +581,21 @@ def validate_consistency(inst: EddInstance) -> ConsistencyReport:
     """
     fa, _, offa, fb, _, offb = inst._flats()
     violations: list[ConsistencyViolation] = []
-    _check_sums(inst.a_lengths, fa, offa, SUM_A, "A", violations)
-    _check_sums(inst.b_lengths, fb, offb, SUM_B, "B", violations)
+    a_lengths, b_lengths = inst._length_arrays()
+    _check_sums(a_lengths, fa, offa, SUM_A, "A", violations)
+    _check_sums(b_lengths, fb, offb, SUM_B, "B", violations)
 
-    sa, sb = np.sort(fa), np.sort(fb)
-    if len(sa) != len(sb):
+    if len(fa) != len(fb):
         violations.append(ConsistencyViolation(
-            UNION_MISMATCH, f"AB side has {len(sa)} elements, BA side {len(sb)}"))
-    elif not np.array_equal(sa, sb):
-        k = int(np.flatnonzero(sa != sb)[0])
-        violations.append(ConsistencyViolation(
-            UNION_MISMATCH, f"multisets differ at sorted position {k}: {int(sa[k])} vs {int(sb[k])}"))
+            UNION_MISMATCH, f"AB side has {len(fa)} elements, BA side {len(fb)}"))
+    else:
+        order_a, order_b = inst._ranked
+        sa, sb = fa[order_a], fb[order_b]
+        if not np.array_equal(sa, sb):
+            k = int(np.flatnonzero(sa != sb)[0])
+            violations.append(ConsistencyViolation(
+                UNION_MISMATCH,
+                f"multisets differ at sorted position {k}: {int(sa[k])} vs {int(sb[k])}"))
 
     expected = inst.p + inst.q - 1
     if len(fa) != expected:
@@ -575,22 +619,29 @@ class _LabelingPlan(NamedTuple):
     copy_ids: np.ndarray
     base_b: np.ndarray        # b_owners for all unique-valued elements
     groups: list[tuple[list[int], list[int]]]  # (c positions, BA-side owners) per duplicated value
+    rank: np.ndarray          # each element's place in (value, copy) order
 
 
 def _labeling_plan(inst: EddInstance) -> _LabelingPlan:
+    """Copy ids, the identity matching and the duplicate groups, all read
+    off the instance's one ranking of each side (``_ranked``)."""
     fa, oa, _, fb, ob, _ = inst._flats()
     n = len(fa)
-    order_a = np.argsort(fa, kind="stable")
-    order_b = np.argsort(fb, kind="stable")
+    order_a, order_b = inst._ranked
     sv = fa[order_a]
     if not np.array_equal(sv, fb[order_b]):
         raise ValueError("inconsistent instance: AB and BA multisets differ")
 
     starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
     sizes = np.diff(np.append(starts, n))
-    within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    copy_ids = np.empty(n, dtype=np.int64)
-    copy_ids[order_a] = within + 1
+    if len(starts) == n:   # no value repeats, so every copy is the first
+        copy_ids = np.ones(n, dtype=np.int64)
+    else:
+        within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
+        copy_ids = np.empty(n, dtype=np.int64)
+        copy_ids[order_a] = within + 1
+    rank = np.empty(n, dtype=np.int64)
+    rank[order_a] = np.arange(n, dtype=np.int64)   # copies number in position order
 
     base_b = np.empty(n, dtype=np.int64)
     base_b[order_a] = ob[order_b]  # identity matching per value group
@@ -601,7 +652,7 @@ def _labeling_plan(inst: EddInstance) -> _LabelingPlan:
         cpos = order_a[s:s + m].tolist()
         owners = ob[order_b[s:s + m]].tolist()
         groups.append((cpos, owners))
-    return _LabelingPlan(fa, oa, copy_ids, base_b, groups)
+    return _LabelingPlan(fa, oa, copy_ids, base_b, groups, rank)
 
 
 def label_duplicates(inst: EddInstance,
@@ -630,4 +681,4 @@ def _labeling(inst: EddInstance, plan: _LabelingPlan, perms) -> LabeledInstance:
     for (cpos, owners), perm in zip(plan.groups, perms):
         for t, s in enumerate(perm):
             b_own[cpos[t]] = owners[s]
-    return LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids)
+    return LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids, plan.rank)

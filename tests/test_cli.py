@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from edd import cli
 from edd.cli import main
 from edd.generator import random_instance
 from edd.instance import EddInstance, serialize_instance
@@ -75,6 +76,20 @@ def test_unreadable_files_exit_2(capsys, demo_file, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_one_parser_serves_successive_calls(capsys, demo_file):
+    calls = [["solve", demo_file, "--max-solutions", "-1"],
+             ["solve", demo_file],
+             ["verify", demo_file, "--pa", "2,1,5,3,4", "--pb", "1,2,3"]]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert [code for code, _out in alone] == [2, 0, 1]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_solve_demo_default_golden(capsys, demo_file):

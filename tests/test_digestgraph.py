@@ -1,4 +1,7 @@
+import random
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from edd.digestgraph import (
     export_edges,
 )
 from edd.instance import EddInstance, LabeledInstance, label_duplicates, validate_consistency
-from edd.generator import random_instance
+from edd.generator import CutModel, instance_from_cuts, random_instance
 
 from structure_reference import reference_structure
 
@@ -201,9 +204,33 @@ def test_engines_agree(seed):
         assert_matches_reference(build_graph(lab))
 
 
+def _leaf_stripping_cases():
+    """Maps at the edges of the leaf-stripped screen."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import break_layout
+    big, truth = random_instance(13, 1000, 1000, 4 * 10**17, duplicate_free=True)
+    return (
+        # A1 is a leaf: the walk starts at its neighbour B2
+        EddInstance((12, 9, 15, 17, 37), (6, 38, 46),
+                    ((12,), (3, 6), (15,), (17,), (8, 29)),
+                    ((6,), (3, 8, 12, 15), (17, 29))),
+        # A3-B2 is a two-leaf component; A1's component A1-B1-A2 is a tree
+        EddInstance((1, 2, 10, 12), (3, 10, 12), ((1,), (2,), (10,), (3, 4, 5)),
+                    ((1, 2), (10,), (3, 4, 5))),
+        # a star around B1: the stripped graph is B1 alone, with no edge
+        EddInstance((1, 2, 3, 4), (10,), ((1,), (2,), (3,), (4,)), ((1, 2, 3, 4),)),
+        # a path with no danglers: A1 B1 A2 B2 A3 B3 A4 B4
+        instance_from_cuts(CutModel(70, (3, 12, 30), (7, 20, 45)))[0],
+        EddInstance((5,), (5,), ((5,),), ((5,),)),
+        big,
+        break_layout(big, truth, random.Random(13)),
+    )
+
+
 def test_engines_agree_on_crafted_cases():
     for inst in (demo_instance(), dup_instance(), deep_subtree_instance(),
-                 disconnected_instance(True), disconnected_instance(False)):
+                 disconnected_instance(True), disconnected_instance(False),
+                 *_leaf_stripping_cases()):
         for lab in label_duplicates(inst):
             assert_matches_reference(build_graph(lab))
 

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from edd.generator import CutModel, instance_from_cuts, random_instance
 from edd.instance import (
     COUNT,
     SUM_A,
@@ -13,10 +15,12 @@ from edd.instance import (
     label_duplicates,
     parse_instance,
     serialize_instance,
+    _labeling_plan,
     validate_consistency,
 )
 
 from conftest import DEMO_TEXT, demo_instance, dup_instance, multi_dup_instance
+from labeling_reference import PLAN_FIELDS, reference_labeling_plan, reference_union_mismatch
 
 
 def test_parse_demo_document():
@@ -206,3 +210,43 @@ def test_segment_sum_wraparound_is_caught():
     report = validate_consistency(inst)
     assert report.rules() == (SUM_A,)
     assert str(5 * piece) in report.violations[0].detail
+
+
+def _rank_once_cases():
+    for seed in range(12):
+        yield random_instance(seed, 30 + seed, 25, 10**12, duplicate_free=True)[0]
+        yield random_instance(seed, 50, 50, 200)[0]
+    # every piece 10 long: one tie run spans each side
+    yield instance_from_cuts(CutModel(100, (10, 30, 50, 70, 90), (20, 40, 60, 80)))[0]
+    # one piece too long for (length, position) to share an int64 key, then ties
+    head = 4 * 10**18
+    yield instance_from_cuts(CutModel(head + 200, tuple(range(head, head + 200, 20)),
+                                      tuple(range(head + 10, head + 200, 20))))[0]
+
+
+def test_rank_once_plan_matches_stable_sort_reference():
+    for inst in _rank_once_cases():
+        got = _labeling_plan(inst)
+        for name, want in zip(PLAN_FIELDS, reference_labeling_plan(inst)):
+            if name == "groups":
+                assert got.groups == want
+            else:
+                assert np.array_equal(getattr(got, name), want), name
+        order_a = np.argsort(got.rank)
+        assert np.array_equal(order_a, np.lexsort((got.copy_ids, got.values)))
+
+
+def test_rank_once_union_mismatch_names_the_same_position():
+    rng = random.Random(5)
+    checked = 0
+    for inst in _rank_once_cases():
+        ba = [list(s) for s in inst.ba_sets]
+        j = rng.randrange(len(ba))
+        ba[j][rng.randrange(len(ba[j]))] += rng.choice((1, 7, 1000))
+        broken = EddInstance(inst.a_lengths, inst.b_lengths, inst.ab_sets, ba)
+        want = reference_union_mismatch(broken)
+        got = [v.detail for v in validate_consistency(broken).violations
+               if v.rule == UNION_MISMATCH]
+        assert got == ([want] if want else [])
+        checked += bool(want)
+    assert checked > 20

@@ -1,0 +1,258 @@
+"""Stage and end-to-end wall times of ``edd solve``: a change against its parent.
+
+    python3 tools/stage_times.py > BENCH_<PR>.json
+
+The change is the ``src/`` of this checkout.  Its parent is ``HEAD``
+when ``src/`` differs from ``HEAD`` (the change is not committed yet),
+otherwise ``HEAD~1``; the parent's ``src/`` is exported with
+``git archive`` into a temporary directory.  The inputs are nine fixed
+maps, written there by this checkout's generator:
+
+- ``free_N``: ``random_instance(7, N/2 + 1, N/2 - 1, 4 * 10**18,
+  duplicate_free=True)``;
+- ``dup_N``: ``random_instance(7, N/2 + 1, N/2 - 1, 20 * N)``, a mean
+  piece length of about 10, so most lengths repeat;
+- ``nomap_N``: ``free_N`` with one sub-fragment moved by
+  ``perfbench/workloads.break_layout`` (``random.Random(7)``):
+  consistent, with no layout;
+
+for N = 10**4, 10**5 and 10**6 fragments.  Each of three runs measures
+each map on both sides, the parent first in runs 1 and 3 and the change
+first in run 2, since the core speed of a shared machine drifts.  A side
+is measured in two child processes:
+
+- stages, all in one process: read the file, ``parse_instance``,
+  ``validate_consistency``, ``_labeling_plan``, the first labeling
+  (``_labeling`` with identity matchings), the structure screen
+  (``build_graph`` + ``check_structure``), ``dangler_first_search`` and
+  rendering the four layout lines of the first layout; the last two
+  only when the screen finds no violation.  Each stage's time is the
+  median of 5, 3 or 1 repetitions at 10**4, 10**5 or 10**6 fragments;
+- e2e: ``python -m edd solve MAP``, stdout to ``/dev/null``, with its
+  wall time, exit code and peak RSS (``os.wait4``).
+
+The JSON report goes to stdout, progress lines to stderr.  The script
+takes no options.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = 3
+SIZES = {"1e4": 10**4, "1e5": 10**5, "1e6": 10**6}
+REPS = {"1e4": 5, "1e5": 3, "1e6": 1}
+STAGES = ("read", "parse", "validate", "plan", "label", "screen", "dangler", "render")
+
+STAGE_CODE = r'''
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from edd import cli
+from edd.digestgraph import build_graph, check_structure
+from edd.instance import _labeling, _labeling_plan, parse_instance, validate_consistency
+from edd.solver import dangler_first_search, expand_family
+
+path, reps = sys.argv[2], int(sys.argv[3])
+times = {}
+
+def timed(name, fn):
+    start = time.perf_counter()
+    out = fn()
+    times.setdefault(name, []).append(time.perf_counter() - start)
+    return out
+
+for _ in range(reps):
+    with open(path, encoding="utf-8") as fh:
+        text = timed("read", fh.read)
+    inst = timed("parse", lambda: parse_instance(text))
+    del text
+    timed("validate", lambda: validate_consistency(inst))
+    plan = timed("plan", lambda: _labeling_plan(inst))
+    lab = timed("label", lambda: _labeling(inst, plan, [range(len(c)) for c, _ in plan.groups]))
+    g = build_graph(lab)
+    verdict = timed("screen", lambda: check_structure(g))
+    if verdict.violation is None:
+        fam = timed("dangler", lambda: dangler_first_search(g, verdict))
+        timed("render", lambda: next(cli._family_layouts(inst, expand_family(fam, 1), False)))
+    del inst, plan, lab, g, verdict
+print(json.dumps({name: statistics.median(ts) for name, ts in times.items()}))
+'''
+
+
+def log(message: str) -> None:
+    print(message, file=sys.stderr, flush=True)
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export_parent(into: Path) -> tuple[str, str]:
+    """Write the parent's src/ under ``into``; return (parent sha, change label)."""
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=ROOT).returncode
+    parent = "HEAD" if dirty else "HEAD~1"
+    sha = git("rev-parse", parent).decode().strip()
+    change = "working tree" if dirty else git("rev-parse", "HEAD").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", sha, "src"))) as tar:
+        tar.extractall(into, filter="data")
+    return sha, change
+
+
+MAP_CODE = r'''
+import json, random, sys
+from pathlib import Path
+from edd.generator import random_instance
+from edd.instance import serialize_instance
+from workloads import break_layout
+
+into, label, size = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+p, q = size // 2 + 1, size // 2 - 1
+free, truth = random_instance(7, p, q, 4 * 10**18, duplicate_free=True)
+dup, _ = random_instance(7, p, q, 20 * size)
+specs = {
+    "free": (f"random_instance(7, {p}, {q}, 4 * 10**18, duplicate_free=True)", free),
+    "dup": (f"random_instance(7, {p}, {q}, {20 * size})", dup),
+    "nomap": (f"free_{label} with one sub-fragment moved by break_layout(random.Random(7))",
+              break_layout(free, truth, random.Random(7))),
+}
+for kind, (spec, inst) in specs.items():
+    (into / f"{kind}_{label}.edd").write_text(serialize_instance(inst), encoding="utf-8")
+    specs[kind] = spec
+print(json.dumps(specs))
+'''
+
+
+def write_maps(into: Path) -> dict:
+    """The nine input maps, made by this checkout's generator in a child
+    process, so that this process stays small: a child's peak RSS counts
+    the process it was started from.  Returns name -> (path, spec, size label)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "perfbench"))))
+    maps = {}
+    for label, size in SIZES.items():
+        done = subprocess.run([sys.executable, "-c", MAP_CODE, str(into), label, str(size)],
+                              env=env, check=True, capture_output=True, text=True)
+        for kind, spec in json.loads(done.stdout).items():
+            maps[f"{kind}_{label}"] = (into / f"{kind}_{label}.edd", spec, label)
+            log(f"wrote {kind}_{label}.edd")
+    return maps
+
+
+def child(argv: list[str], src: Path, capture: bool) -> tuple[dict, str]:
+    """Run one child process on ``src``: its wall time, exit code and
+    peak RSS in MB, and its stdout when ``capture``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    with subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE if capture else subprocess.DEVNULL) as proc:
+        out = proc.stdout.read().decode() if capture else ""
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, so Popen does not wait
+    return {"s": round(time.perf_counter() - start, 4), "exit": proc.returncode,
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}, out
+
+
+def measure(src: Path, stage_script: Path, path: Path, reps: int) -> tuple[dict, dict]:
+    """The stage times and the e2e row of one map on one side."""
+    ran, out = child([sys.executable, str(stage_script), str(src), str(path), str(reps)],
+                     src, capture=True)
+    if ran["exit"] != 0:
+        raise RuntimeError(f"stage run failed on {path.name} with {src}")
+    e2e, _ = child([sys.executable, "-m", "edd", "solve", str(path)], src, capture=False)
+    return json.loads(out), e2e
+
+
+def tabulate(raw: dict) -> dict:
+    """Per map, per stage and e2e row, each side's runs and median."""
+    results = {}
+    for name, by_side in raw.items():
+        rows: dict = {}
+        for stage in STAGES:
+            for side, measured in by_side.items():
+                runs = [round(stages[stage], 5) for stages, _ in measured if stage in stages]
+                if runs:
+                    rows.setdefault(stage, {})[side] = {
+                        "runs": runs, "median": round(statistics.median(runs), 5)}
+        for side, measured in by_side.items():
+            runs = [e2e for _, e2e in measured]
+            rows.setdefault("e2e_solve", {})[side] = {"runs": runs, "median": {
+                "s": round(statistics.median(r["s"] for r in runs), 4),
+                "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+                "exit": sorted({r["exit"] for r in runs})}}
+        results[name] = rows
+    return results
+
+
+def summarize(results: dict) -> dict:
+    summary = {}
+    for name, rows in results.items():
+        for row, sides in rows.items():
+            if len(sides) < 2:
+                continue
+            parent, change = sides["parent"]["median"], sides["change"]["median"]
+            if row == "e2e_solve":
+                summary[f"{name}.{row}"] = (
+                    f"{parent['s']} -> {change['s']} s, peak RSS {parent['peak_rss_mb']} -> "
+                    f"{change['peak_rss_mb']} MB, exit {parent['exit']} -> {change['exit']}")
+            else:
+                summary[f"{name}.{row}"] = f"{parent} -> {change} s"
+    return summary
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    work = Path(tempfile.mkdtemp(prefix="stage_times_"))
+    try:
+        parent_sha, change = export_parent(work / "parent")
+        sides = {"parent": work / "parent" / "src", "change": ROOT / "src"}
+        stage_script = work / "stages.py"
+        stage_script.write_text(STAGE_CODE, encoding="utf-8")
+        maps = write_maps(work)
+        raw: dict = {name: {side: [] for side in sides} for name in maps}
+        for run in range(RUNS):
+            order = ("parent", "change") if run % 2 == 0 else ("change", "parent")
+            for name, (path, _spec, label) in maps.items():
+                for side in order:
+                    stages, e2e = measure(sides[side], stage_script, path, REPS[label])
+                    raw[name][side].append((stages, e2e))
+                    log(f"run {run + 1} {name} {side}: e2e {e2e['s']} s, exit {e2e['exit']}, "
+                        f"{e2e['peak_rss_mb']} MB")
+        results = tabulate(raw)
+        report = {
+            "what": "Per-stage wall times of the edd solve path in one process, and e2e "
+                    "`python -m edd solve MAP` with peak RSS: parent against change",
+            "parent": parent_sha,
+            "change": change,
+            "machine": {"python": platform.python_version(),
+                        "numpy": subprocess.run(
+                            [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                            check=True, capture_output=True, text=True).stdout.strip(),
+                        "cpus": os.cpu_count(), "platform": platform.platform()},
+            "inputs": {name: {"spec": spec, "bytes": path.stat().st_size}
+                       for name, (path, spec, _label) in maps.items()},
+            "method": __doc__.split("\n\n", 2)[2].strip(),
+            "summary": summarize(results),
+            "results": results,
+        }
+        print(json.dumps(report, indent=1))
+        return 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

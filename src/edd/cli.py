@@ -16,7 +16,7 @@ import math
 import sys
 from contextlib import nullcontext
 from enum import IntEnum
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -386,8 +386,9 @@ def cmd_gen(args, out: _Output) -> int:
             inst, truth = random_instance(args.seed, args.p, args.q, args.total,
                                           min_duplicates=args.min_duplicates,
                                           duplicate_free=args.duplicate_free)
-            cuts_a = tuple(accumulate(inst.a_lengths[i] for i in truth.pi_a[:-1]))
-            cuts_b = tuple(accumulate(inst.b_lengths[j] for j in truth.pi_b[:-1]))
+            a_len, b_len = inst._length_arrays()
+            cuts_a = np.cumsum(a_len[list(truth.pi_a)])[:-1].tolist()
+            cuts_b = np.cumsum(b_len[list(truth.pi_b)])[:-1].tolist()
     except (ValueError, InfeasibleParams) as err:
         return _fail(str(err), ExitStatus.USAGE)
 

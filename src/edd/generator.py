@@ -1,8 +1,8 @@
 """Ground-truth instance generation by simulating a double digest.
 
 Cut a line of known length at two disjoint site sets, read off the
-fragment and sub-fragment lengths, and the resulting dataset is
-consistent by construction with the identity ordering as a known
+fragment and sub-fragment lengths as arrays, and the resulting dataset
+is consistent by construction with the identity ordering as a known
 solution.  The seeded generator layers reproducible randomness on top;
 its stream is Python's Mersenne Twister (``random.Random(seed)``), so
 equal seeds reproduce equal instances within this implementation.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MAX_LENGTH, CPermutation, EddInstance
+from .instance import MAX_LENGTH, CPermutation, EddInstance, _int64
 from .solver import Solution
 
 
@@ -46,48 +46,32 @@ class CutModel:
             raise ValueError("cut sites of the two enzymes must not coincide")
 
 
-def _gaps(cuts, total):
-    bounds = [0, *cuts, total]
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 def instance_from_cuts(model: CutModel) -> tuple[EddInstance, Solution]:
     """Digest the cut model into an EddInstance plus its ground truth.
 
-    A and B are the gap lengths of each cut set; AB_i/BA_j collect the
-    pieces of the union digest falling inside each fragment.  The
-    returned Solution is the identity ordering with the physical
-    left-to-right labeling.
+    A and B are the gap lengths of each cut set; the pieces of the union
+    digest, each with the A- and B-fragment that hold it, are AB and BA,
+    all as arrays, no tuple built.  The returned Solution is the
+    identity ordering with the physical left-to-right labeling.
     """
     total = model.total_length
     # positions past int64 stay exact Python ints; the instance checks that each length fits
     dtype = np.int64 if total <= MAX_LENGTH else object
     ca = np.asarray(model.cuts_a, dtype=dtype)
     cb = np.asarray(model.cuts_b, dtype=dtype)
-    a_lengths = _gaps(model.cuts_a, total)
-    b_lengths = _gaps(model.cuts_b, total)
+    a = _int64(np.diff(np.concatenate(([0], ca, [total]))))
+    b = _int64(np.diff(np.concatenate(([0], cb, [total]))))
 
     bounds = np.concatenate(([0], np.sort(np.concatenate((ca, cb))), [total]))
-    lengths = np.diff(bounds)
+    lengths = _int64(np.diff(bounds))
     starts = bounds[:-1]
     a_idx = np.searchsorted(ca, starts, side="right")
     b_idx = np.searchsorted(cb, starts, side="right")
+    inst = EddInstance._from_arrays(a, b, lengths, a_idx, lengths, b_idx)
 
-    length_list = lengths.tolist()
-    ab_groups = _group_slices(length_list, a_idx, len(a_lengths))
-    ba_groups = _group_slices(length_list, b_idx, len(b_lengths))
-    inst = EddInstance(a_lengths, b_lengths, ab_groups, ba_groups)
-
-    pi_c = CPermutation.along_line(lengths.astype(np.int64, copy=False), a_idx, b_idx)
+    pi_c = CPermutation.along_line(lengths, a_idx, b_idx)
     truth = Solution(tuple(range(inst.p)), tuple(range(inst.q)), pi_c)
     return inst, truth
-
-
-def _group_slices(values: list, owners: np.ndarray, count: int):
-    # owners is non-decreasing along the line, so groups are contiguous slices
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=count))))
-    off = offsets.tolist()
-    return tuple(tuple(values[off[i]:off[i + 1]]) for i in range(count))
 
 
 def random_instance(seed: int, p: int, q: int, total_length: int, *,
@@ -120,8 +104,8 @@ def random_instance(seed: int, p: int, q: int, total_length: int, *,
         cuts_a = tuple(positions[t] for t in range(k) if t in a_picks)
         cuts_b = tuple(positions[t] for t in range(k) if t not in a_picks)
         inst, truth = instance_from_cuts(CutModel(total_length, cuts_a, cuts_b))
-        flat_values = inst._flats()[0]
-        dupes = len(flat_values) - len(np.unique(flat_values))
+        flat_values = np.sort(inst._flats()[0])
+        dupes = int(np.count_nonzero(flat_values[1:] == flat_values[:-1]))
         if duplicate_free and dupes:
             continue
         if dupes < min_duplicates:

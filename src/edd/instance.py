@@ -5,9 +5,11 @@ enzymes: the fragment-length multisets A and B from each single digest,
 plus, for every single-digest fragment, the multiset of sub-lengths
 obtained by re-digesting it with the other enzyme (AB_i for the i-th
 A-fragment, BA_j for the j-th B-fragment).  This module holds the
-instance types, the line-oriented text format, the consistency rules
-every physically realizable dataset satisfies, and the labeling step
-that disambiguates equal sub-fragment lengths.
+instance types, whose data is int64 arrays that every constructor sorts
+the one same way, with tuple views built only on demand; the
+line-oriented text format; the consistency rules every physically
+realizable dataset satisfies; and the labeling step that disambiguates
+equal sub-fragment lengths.
 """
 
 from __future__ import annotations
@@ -50,11 +52,7 @@ class AssignmentCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _as_multiset(values) -> tuple[int, ...]:
-    return tuple(sorted(values))
-
-
-def _int64(values: tuple) -> np.ndarray:
+def _int64(values) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -62,18 +60,11 @@ def _int64(values: tuple) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _flatten(sets: tuple[tuple[int, ...], ...]):
-    """(values, owner, offsets) of ascending multisets, in fragment order."""
+def _flatten(sets: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, owner) of the multisets, in fragment order."""
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    values = _int64(tuple(chain.from_iterable(sets)))
-    owner = np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
-    return values, owner, _offsets(sizes)
-
-
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
+    return (_int64(tuple(chain.from_iterable(sets))),
+            np.repeat(np.arange(len(sets), dtype=np.int64), sizes))
 
 
 def _unflatten(values: np.ndarray, offsets: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -84,46 +75,55 @@ def _unflatten(values: np.ndarray, offsets: np.ndarray) -> tuple[tuple[int, ...]
 class EddInstance:
     """EDD length data: A, B, and the per-fragment cross-digest multisets.
 
-    Multisets are normalized to ascending order on construction, so two
-    instances with the same data compare equal and serialization is
-    canonical.  The order of ``a_lengths``/``b_lengths`` is meaningful
-    (fragment i owns ``ab_sets[i]``) and is preserved.
-
-    The cross-digest data is stored as int64 arrays (see ``_flats``);
-    ``a_lengths``/``b_lengths`` are tuples, while ``ab_sets``/``ba_sets``
-    are tuples of tuples built from the arrays on first access and then
-    cached.  Instances are immutable and compare and hash by all four
-    fields.
+    The data is held as int64 arrays: the lengths of A and B in fragment
+    order (fragment i owns ``ab_sets[i]``), and each cross-digest side
+    flattened in (fragment, ascending value) order (see ``_flats``).
+    Every constructor ends in ``_from_arrays``, which sorts each side
+    with ``_grouped``, so two instances with the same data compare and
+    hash equal and serialize alike, however they were built.
+    ``a_lengths``, ``b_lengths``, ``ab_sets`` and ``ba_sets`` are tuple
+    views for the API edge, built from the arrays on first access and
+    then cached.  Instances are immutable.
     """
 
     def __init__(self, a_lengths, b_lengths, ab_sets, ba_sets):
-        ab_sets = tuple(map(_as_multiset, ab_sets))
-        ba_sets = tuple(map(_as_multiset, ba_sets))
-        self._init(_int64(tuple(a_lengths)), _int64(tuple(b_lengths)),
-                   _flatten(ab_sets), _flatten(ba_sets))
-        self.__dict__.update(ab_sets=ab_sets, ba_sets=ba_sets)
-
-    def _init(self, a: np.ndarray, b: np.ndarray, ab: tuple, ba: tuple):
-        """The one construction and validation path: A and B as arrays,
-        the AB and BA sides as (values, owner, offsets) flats."""
+        a, b = _int64(tuple(a_lengths)), _int64(tuple(b_lengths))
+        ab_sets, ba_sets = tuple(map(tuple, ab_sets)), tuple(map(tuple, ba_sets))
         if not len(a) or not len(b):
             raise ValueError("need at least one fragment per enzyme")
-        if len(ab[2]) - 1 != len(a):
-            raise ValueError(f"expected {len(a)} AB multisets, got {len(ab[2]) - 1}")
-        if len(ba[2]) - 1 != len(b):
-            raise ValueError(f"expected {len(b)} BA multisets, got {len(ba[2]) - 1}")
+        for kind, sets, count in (("AB", ab_sets, len(a)), ("BA", ba_sets, len(b))):
+            if len(sets) != count:
+                raise ValueError(f"expected {count} {kind} multisets, got {len(sets)}")
+        self.__dict__.update(vars(self._from_arrays(a, b, *_flatten(ab_sets), *_flatten(ba_sets))))
+
+    @classmethod
+    def _from_arrays(cls, a, b, ab_values, ab_owner, ba_values, ba_owner) -> EddInstance:
+        """The one construction path: A and B lengths as arrays, and each
+        cross-digest side as values with their 0-based owners, in any
+        order.  ``_grouped`` sorts each side; every length is checked
+        against [1, 2^63 - 1]."""
+        ab, ba = _grouped(ab_values, ab_owner, len(a)), _grouped(ba_values, ba_owner, len(b))
         for vals in (a, b, ab[0], ba[0]):
             if len(vals) and (vals.dtype == object or vals.min() < 1):
                 bad = vals[(vals < 1) | (vals > MAX_LENGTH)][0]
                 raise ValueError(f"length {bad} outside [1, 2^63 - 1]")
-        self.__dict__.update(a_lengths=tuple(a.tolist()), b_lengths=tuple(b.tolist()),
-                             _a=a, _b=b, _ab=ab, _ba=ba)
+        inst = cls.__new__(cls)
+        inst.__dict__.update(_a=a, _b=b, _ab=ab, _ba=ba)
+        return inst
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def a_lengths(self) -> tuple[int, ...]:
+        return tuple(self._a.tolist())
+
+    @cached_property
+    def b_lengths(self) -> tuple[int, ...]:
+        return tuple(self._b.tolist())
 
     @cached_property
     def ab_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -134,7 +134,8 @@ class EddInstance:
         return _unflatten(self._ba[0], self._ba[2])
 
     def _key(self):
-        return (self.a_lengths, self.b_lengths, self.ab_sets, self.ba_sets)
+        return tuple(x.tobytes() for x in (self._a, self._b, self._ab[0], self._ab[2],
+                                           self._ba[0], self._ba[2]))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -150,11 +151,11 @@ class EddInstance:
 
     @property
     def p(self) -> int:
-        return len(self.a_lengths)
+        return len(self._a)
 
     @property
     def q(self) -> int:
-        return len(self.b_lengths)
+        return len(self._b)
 
     def _flats(self):
         """Flattened cross-digest data as int64 arrays.
@@ -523,9 +524,7 @@ def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np
         is_ab, is_ba = kinds == 2, kinds == 3
         a, b, ab, ba = values[kinds == 0], values[kinds == 1], values[is_ab], values[is_ba]
         ab_owner, ba_owner = owner[is_ab], owner[is_ba]
-    inst = EddInstance.__new__(EddInstance)
-    inst._init(a, b, _grouped(ab, ab_owner, p), _grouped(ba, ba_owner, q))
-    return inst
+    return EddInstance._from_arrays(a, b, ab, ab_owner, ba, ba_owner)
 
 
 def _grouped(values: np.ndarray, owner: np.ndarray, count: int):
@@ -535,18 +534,18 @@ def _grouped(values: np.ndarray, owner: np.ndarray, count: int):
         order = np.argsort(values)
         order = order[np.argsort(owner[order], kind="stable")]
         values, owner = values[order], owner[order]
-    return values, owner, _offsets(np.bincount(owner, minlength=count))
+    return values, owner, np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=count))))
 
 
 def serialize_instance(inst: EddInstance) -> str:
     """Render the canonical text form; round-trips through parse_instance."""
-    lines = ["EDD 1"]
-    lines.append("A " + " ".join(map(str, inst.a_lengths)))
-    lines.append("B " + " ".join(map(str, inst.b_lengths)))
-    for i, s in enumerate(inst.ab_sets, start=1):
-        lines.append(f"AB {i} " + " ".join(map(str, s)) if s else f"AB {i}")
-    for j, s in enumerate(inst.ba_sets, start=1):
-        lines.append(f"BA {j} " + " ".join(map(str, s)) if s else f"BA {j}")
+    fa, _, offa, fb, _, offb = inst._flats()
+    a, b = inst._length_arrays()
+    lines = ["EDD 1", "A " + " ".join(map(str, a.tolist())), "B " + " ".join(map(str, b.tolist()))]
+    for kind, values, offsets in (("AB", fa, offa), ("BA", fb, offb)):
+        tokens, offs = list(map(str, values.tolist())), offsets.tolist()
+        lines += [" ".join((kind, str(i), *tokens[s:e]))
+                  for i, (s, e) in enumerate(zip(offs, offs[1:]), start=1)]
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,6 @@ from .instance import (
     CPermutation,
     EddInstance,
     LabeledInstance,
-    _labeling,
     _labeling_plan,
 )
 
@@ -139,9 +138,9 @@ class SolutionFamily:
         """
         lab = self.labeled
         key = [self.c_value_array(), self.block_starts, self.block_ends]
-        for owners, lengths in zip((lab.a_owners[self.order], lab.b_owners[self.order]),
-                                   lab.base._length_arrays()):
-            key += [lengths[owners], np.cumsum(np.diff(owners, prepend=owners[:1]) != 0)]
+        for owners, lengths, runs in zip((lab.a_owners, lab.b_owners),
+                                         lab.base._length_arrays(), self._run_index()):
+            key += [lengths[owners[self.order]], runs]
         return tuple(k.tobytes() for k in key)
 
     def induced_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -377,8 +376,10 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
     label) produce digest graphs identical up to renaming interchangeable
     fragments, hence identical value-level families.  Each class is
     represented by its first bijection in lexicographic order.  Returns
-    (perm, rank-in-full-lex-enumeration) pairs, ranks ascending; with a
-    cap c, the first c + 1 of them.
+    a (rank, first, tail) record per class, ranks ascending; with a cap c,
+    the first c + 1.  ``rank`` is the place in the full lexicographic
+    enumeration, ``first`` the first position where the perm differs from
+    the previous class's (0 for the first class), ``tail`` perm[first:].
 
     One depth-first search in lexicographic order lists just these:
     position t takes some BA-side label's smallest free slot, labels
@@ -395,7 +396,7 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
     free = list(range(m))
     banned = {a: set() for a in a_labels}   # AB-side label -> BA-side labels it may not take
     perm = [0] * m
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[int, int, tuple[int, ...]]] = []
 
     def picks(t: int, rank: int):
         """Take in turn each label position t may take; yield each pick's rank so far."""
@@ -428,14 +429,18 @@ def _distinct_matchings(a_labels, b_labels, cap: int | None):
     # depth-first, one generator per depth on an explicit stack: the
     # depth is the number of copies, past Python's recursion limit
     stack = [picks(0, 0)]
+    first = 0   # the shallowest position picked again since the last class
     while stack and (cap is None or len(out) <= cap):
         rank = next(stack[-1], None)
         if rank is None:
             stack.pop()
-        elif len(stack) < m:
+            continue
+        first = min(first, len(stack) - 1)
+        if len(stack) < m:
             stack.append(picks(len(stack), rank))
         else:
-            out.append((tuple(perm), rank))
+            out.append((rank, first, tuple(perm[first:])))
+            first = m
     return out
 
 
@@ -462,11 +467,21 @@ def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
         if max_assignments is not None and total > max_assignments:
             raise AssignmentCapExceeded(total, max_assignments, distinct=True)
 
-    for combo in product(*per_group):
+    # a group's class stays, steps to the next (whose record rewrites the
+    # perm from its first change) or goes back to the first (a whole perm)
+    b_own, at = plan.base_b.copy(), [-1] * len(per_group)
+    for combo in product(*map(range, map(len, per_group))):
         aid = 0
-        for (_perm, rank), radix in zip(combo, radices):
+        for g, (records, k, radix) in enumerate(zip(per_group, combo, radices)):
+            rank, first, tail = records[k]
+            if k != at[g]:
+                cpos, owners = plan.groups[g]
+                for t, s in enumerate(tail, start=first):
+                    b_own[cpos[t]] = owners[s]
             aid = aid * radix + rank
-        yield aid, _labeling(inst, plan, [perm for perm, _rank in combo])
+        at = combo
+        yield aid, LabeledInstance(inst, plan.values, plan.a_owners, b_own.copy(),
+                                   plan.copy_ids, plan.rank)
 
 
 @dataclass(eq=False)

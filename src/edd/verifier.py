@@ -78,10 +78,10 @@ def _cut_arrays(pa, pb, inst: EddInstance):
     pb = _check_permutation(pb, inst.q, "pb")
     a_len, b_len = inst._length_arrays()
     a, b = a_len[pa], b_len[pb]
-    # no prefix sum exceeds its total, so int64 is exact unless a total overflows
-    if max(sum(inst.a_lengths), sum(inst.b_lengths)) >= 2**63:
-        a, b = a.astype(object), b.astype(object)
     a_prefix, b_prefix = np.cumsum(a), np.cumsum(b)
+    # lengths are below 2^63, so a total past int64 wraps some prefix below 0
+    if a_prefix.min() < 0 or b_prefix.min() < 0:
+        a_prefix, b_prefix = np.cumsum(a.astype(object)), np.cumsum(b.astype(object))
     if a_prefix[-1] != b_prefix[-1]:
         raise SumMismatch(int(a_prefix[-1]), int(b_prefix[-1]))
     a_cuts, b_cuts = a_prefix[:-1], b_prefix[:-1]

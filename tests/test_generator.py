@@ -1,7 +1,13 @@
+import hashlib
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from edd.generator import CutModel, InfeasibleParams, instance_from_cuts, random_instance
-from edd.instance import parse_instance, serialize_instance, validate_consistency
+from edd.instance import EddInstance, parse_instance, serialize_instance, validate_consistency
+from edd.reduction import complete_graph, reduce_graph
 from edd.solver import canonical_key, solve
 from edd.verifier import brute_force_solve, verify_permutation
 
@@ -58,6 +64,23 @@ def test_random_instance_deterministic():
     assert a == b
     assert serialize_instance(a) == serialize_instance(b)
     assert parse_instance(serialize_instance(a)) == a
+    # equal data compares and hashes equal whichever path built it: the
+    # generator's cuts, unsorted tuple multisets, and text with the values
+    # of each line shuffled, in serialized line order or not
+    rng = random.Random(4)
+    for seed in range(20):
+        inst = random_instance(seed, 6, 5, 30)[0]
+        sets = [[rng.sample(s, len(s)) for s in side] for side in (inst.ab_sets, inst.ba_sets)]
+        lines = [line.split() for line in serialize_instance(inst).splitlines()]
+        lines = lines[:3] + [line[:2] + rng.sample(line[2:], len(line) - 2) for line in lines[3:]]
+        texts = ["\n".join(map(" ".join, order)) + "\n"
+                 for order in (lines, lines[:3] + rng.sample(lines[3:], len(lines) - 3))]
+        from_tuples = EddInstance(inst.a_lengths, inst.b_lengths, *sets)
+        for other in (from_tuples, *map(parse_instance, texts)):
+            assert other == inst and hash(other) == hash(inst)
+    # equal values split at other fragment boundaries are other data
+    assert EddInstance((3, 3), (6,), ((1, 2), (3,)), ((1, 2, 3),)) != \
+        EddInstance((3, 3), (6,), ((1, 2, 3), ()), ((1, 2, 3),))
 
 
 def test_random_instance_single_fragment():
@@ -117,3 +140,43 @@ def test_solver_oracle_equality_on_generated():
                     keys.add(canonical_key(inst, sol))
             oracle = {canonical_key(inst, s) for s in brute_force_solve(inst)}
             assert keys == oracle
+
+
+# sha256 of each map's text and its truth, as the generator wrote them
+# before instances were built from arrays; the benchmark writes its maps
+# with this generator, so they must not drift
+PINNED = {
+    "free": "c5dd1f1f9d57af7f6c09bc59a5c247fed037a2fde50c1ef2efac24b0e3a18fe5",
+    "dup": "6bac978fbd0bfaf05591b4b9ce182b6128d6183813a8f612e6d904c913f6bd27",
+    "dup_1e4": "8fb040d24c157bc74cf352a2193a5b6e914647d77866e566b7836f6ca26ecb76",
+    "4e18": "31c7a7390468f8ec099e64b1129ac6bb3ccb28c327f4fe7f02754ff98c443aae",
+    "past_int64": "8abea6383611d8dadc2abbeca8f69795fbd3fcca28f55fcbd12422a28c7903ff",
+    "K5": "5a2cb86a265cc004ec9cbec372fdc401df44bc56845c19cc8faa14f68e5bd949",
+    "break_layout": "ba17946daa2c7c9cacd9dc300f5c8ff2e654bab04ed1240e0086682c60ca26ff",
+}
+
+
+def _pinned_maps():
+    """(name, instance, truth or None) of the generator's pinned outputs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import break_layout
+    broken, truth = random_instance(14, 300, 300, 10**7)
+    return [
+        ("free", *random_instance(11, 40, 35, 10**12, duplicate_free=True)),
+        ("dup", *random_instance(12, 60, 60, 250, min_duplicates=20)),
+        ("dup_1e4", *random_instance(7, 5001, 4999, 200_000)),
+        ("4e18", *random_instance(13, 50, 45, 4 * 10**18)),
+        ("past_int64", *instance_from_cuts(CutModel(2**63, (5,), (3,)))),
+        ("K5", reduce_graph(complete_graph(5)).instance, None),
+        ("break_layout", break_layout(broken, truth, random.Random(14)), None),
+    ]
+
+
+def test_generator_bytes_are_pinned():
+    got = {}
+    for name, inst, truth in _pinned_maps():
+        h = hashlib.sha256(serialize_instance(inst).encode())
+        if truth is not None:
+            h.update(repr([list(truth.pi_a), list(truth.pi_b), list(truth.c_values())]).encode())
+        got[name] = h.hexdigest()
+    assert got == PINNED

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from edd.cli import main
 from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
 from edd.generator import InfeasibleParams, random_instance
 from edd.instance import (
@@ -29,6 +30,7 @@ from edd.solver import (
     solve,
     solve_labeled,
 )
+from edd.reduction import complete_graph, serialize_graph
 from edd.verifier import brute_force_solve, verify_permutation
 
 from solve_reference import naive_solve
@@ -356,12 +358,29 @@ def test_solve_rejects_non_positive_assignment_cap():
             solve(demo_instance(), max_assignments=cap)
 
 
-def test_solve_reads_labels_from_the_flats():
-    # the tuple-of-tuples views are for the API edge; solving a parsed
-    # instance with repeated lengths never builds them
+def test_solve_reads_labels_from_the_flats(monkeypatch, tmp_path):
+    # the tuple views are for the API edge: solving a parsed instance with
+    # repeated lengths never builds them, nor do solve, verify, gen and
+    # reduce-hp on the command line
+    def built(inst):
+        raise AssertionError("a tuple view was built")
+
+    for view in ("a_lengths", "b_lengths", "ab_sets", "ba_sets"):
+        monkeypatch.setattr(EddInstance, view, property(built))
     inst = parse_instance(serialize_instance(multi_dup_instance()))
     assert len(solve(inst)) == 2
-    assert "ab_sets" not in vars(inst) and "ba_sets" not in vars(inst)
+    mapped, truth = random_instance(3, 6, 5, 40, min_duplicates=1)
+    path, graph, side = tmp_path / "map.edd", tmp_path / "k4.graph", tmp_path / "gt"
+    path.write_text(serialize_instance(mapped))
+    graph.write_text(serialize_graph(complete_graph(4)))
+    pa, pb = (" ".join(str(i + 1) for i in pi) for pi in (truth.pi_a, truth.pi_b))
+    for argv in (["solve", path], ["solve", path, "--json"], ["solve", path, "--all"],
+                 ["verify", path, "--pa", pa, "--pb", pb],
+                 ["gen", "--seed", "1", "--p", "3", "--q", "3", "--total", "100",
+                  "--sidecar", side],
+                 ["gen", "--total", "100", "--cuts-a", "5", "--cuts-b", "3"],
+                 ["reduce-hp", graph]):
+        assert main(list(map(str, argv))) == 0, argv
 
 
 def test_family_key_only_built_to_compare(monkeypatch):
@@ -436,6 +455,18 @@ def _distinct_by_scan(a_labels, b_labels):
     return list(seen.values())
 
 
+def _perms_of_records(records):
+    """(perm, rank) per class, rebuilt from the matcher's (rank, first,
+    tail) records; each record must start where its perm first differs
+    from the previous one."""
+    perm, out = [], []
+    for rank, first, tail in records:
+        assert first == 0 if not out else perm[first] != tail[0]
+        perm[first:] = tail
+        out.append((tuple(perm), rank))
+    return out
+
+
 def test_distinct_matching_strategies_agree():
     import random as _random
 
@@ -453,13 +484,27 @@ def test_distinct_matching_strategies_agree():
     cases.append(([rng.choice(pool) for _ in range(9)], [rng.choice(pool) for _ in range(9)]))
     for al, bl in cases:
         full = _distinct_by_scan(al, bl)
-        assert _distinct_matchings(al, bl, None) == full
+        assert _perms_of_records(_distinct_matchings(al, bl, None)) == full
         # a capped list is the first cap + 1 classes
         cap = rng.randint(1, len(full))
-        assert _distinct_matchings(al, bl, cap) == full[:cap + 1]
+        assert _perms_of_records(_distinct_matchings(al, bl, cap)) == full[:cap + 1]
     # symmetric cases collapse completely
     assert len(_distinct_matchings([("f", i) for i in range(10)],
                                    [("s",)] * 10, None)) == 1
+
+
+def test_assignment_cap_memory_stays_small():
+    # dup_1e4: 9,981 of its 9,999 copies in 115 groups of up to 510 copies;
+    # the matcher keeps what changes between classes, not every class's perm
+    inst = random_instance(7, 5001, 4999, 200_000)[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(AssignmentCapExceeded):
+            solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_star_of_2000_equal_leaves_solves():

@@ -26,7 +26,7 @@ from .instance import (
     AssignmentCapExceeded,
     EddInstance,
     ParseError,
-    label_duplicates,
+    _labeling_plan,
     parse_instance,
     serialize_instance,
     validate_consistency,
@@ -261,9 +261,8 @@ def cmd_solve(args, out: _Output) -> int:
         return int(ExitStatus.NO_SOLUTION)
 
     if args.dump_graph:
-        first = next(iter(label_duplicates(inst)))
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
-            fh.write(export_edges(build_graph(first)))
+            fh.write(export_edges(build_graph(_labeling_plan(inst)[0])))
 
     try:
         result = solve(inst, max_assignments=args.max_assignments)
@@ -348,10 +347,7 @@ def cmd_verify(args, out: _Output) -> int:
 
 def cmd_oracle(args, out: _Output) -> int:
     inst = _load_instance(args.file)
-    try:
-        solutions = brute_force_solve(inst, max_total=args.max_total)
-    except OracleCapExceeded as err:
-        return _fail(str(err), ExitStatus.CAP_EXCEEDED)
+    solutions = brute_force_solve(inst, max_total=args.max_total)
     out.line(f"solutions: {len(solutions)}")
     payload = []
     fmt = list if out.as_json else _text
@@ -410,6 +406,8 @@ def cmd_gen(args, out: _Output) -> int:
 def cmd_reduce_hp(args, out: _Output) -> int:
     h = parse_graph(_read_file(args.graphfile))
     red = reduce_graph(h)
+    if out.quiet and not args.out:
+        return int(ExitStatus.OK)
     instance_text = serialize_instance(red.instance)
     lines = [instance_text.rstrip("\n")]
     for i, v in enumerate(red.a_nodes, start=1):

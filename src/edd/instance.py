@@ -15,7 +15,7 @@ equal sub-fragment lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 from itertools import chain, permutations, product
 from typing import Iterator, NamedTuple, Sequence
@@ -226,7 +226,8 @@ class CPermutation(Sequence):
     @classmethod
     def along_line(cls, values, a_owners, b_owners) -> CPermutation:
         """Pieces in line order, equal values' copies numbered 1, 2, ... from the left."""
-        return cls(np.stack((values, a_owners, b_owners, _occurrence_counts(values))))
+        copy_ids = _copy_numbers(values, _rank(values))[0]
+        return cls(np.stack((values, a_owners, b_owners, copy_ids)))
 
     @property
     def order(self) -> CPermutation:
@@ -248,19 +249,6 @@ class CPermutation(Sequence):
 
     def __iter__(self) -> Iterator[LabeledLength]:
         return map(LabeledLength._make, zip(*self.columns.tolist()))
-
-
-def _occurrence_counts(values: np.ndarray) -> np.ndarray:
-    """1-based per-value occurrence counter, in sequence order."""
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    sizes = np.diff(np.append(starts, n))
-    within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = within + 1
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,46 +600,43 @@ def count_assignments(inst: EddInstance) -> int:
     return math.prod(map(math.factorial, counts[counts > 1].tolist()))
 
 
-class _LabelingPlan(NamedTuple):
-    values: np.ndarray        # C values in AB-side order
-    a_owners: np.ndarray
-    copy_ids: np.ndarray
-    base_b: np.ndarray        # b_owners for all unique-valued elements
-    groups: list[tuple[list[int], list[int]]]  # (c positions, BA-side owners) per duplicated value
-    rank: np.ndarray          # each element's place in (value, copy) order
-
-
-def _labeling_plan(inst: EddInstance) -> _LabelingPlan:
-    """Copy ids, the identity matching and the duplicate groups, all read
-    off the instance's one ranking of each side (``_ranked``)."""
-    fa, oa, _, fb, ob, _ = inst._flats()
-    n = len(fa)
-    order_a, order_b = inst._ranked
-    sv = fa[order_a]
-    if not np.array_equal(sv, fb[order_b]):
-        raise ValueError("inconsistent instance: AB and BA multisets differ")
-
+def _copy_numbers(values: np.ndarray, order: np.ndarray):
+    """(copy_ids, sorted, starts, sizes): equal values' copies numbered
+    1, 2, ... in position order, ``values[order]``, and the start and
+    size of each of its equal-value runs.  ``order`` is the (value,
+    position) order of ``values``, from ``_rank`` or ``_ranked``."""
+    n = len(values)
+    sv = values[order]
     starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
     sizes = np.diff(np.append(starts, n))
     if len(starts) == n:   # no value repeats, so every copy is the first
-        copy_ids = np.ones(n, dtype=np.int64)
-    else:
-        within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-        copy_ids = np.empty(n, dtype=np.int64)
-        copy_ids[order_a] = within + 1
+        return np.ones(n, dtype=np.int64), sv, starts, sizes
+    copy_ids = np.empty(n, dtype=np.int64)
+    copy_ids[order] = np.arange(1, n + 1, dtype=np.int64) - np.repeat(starts, sizes)
+    return copy_ids, sv, starts, sizes
+
+
+def _labeling_plan(inst: EddInstance) -> tuple[LabeledInstance, list]:
+    """The identity labeling, which matches each value's t-th AB-side copy
+    with its t-th BA-side copy, and the duplicate groups, as (c
+    positions, BA-side owners) per repeated value; all read off the
+    instance's one ranking of each side (``_ranked``)."""
+    fa, oa, _, fb, ob, _ = inst._flats()
+    order_a, order_b = inst._ranked
+    copy_ids, sv, starts, sizes = _copy_numbers(fa, order_a)
+    if not np.array_equal(sv, fb[order_b]):
+        raise ValueError("inconsistent instance: AB and BA multisets differ")
+    n = len(fa)
     rank = np.empty(n, dtype=np.int64)
     rank[order_a] = np.arange(n, dtype=np.int64)   # copies number in position order
-
-    base_b = np.empty(n, dtype=np.int64)
-    base_b[order_a] = ob[order_b]  # identity matching per value group
+    b_owners = np.empty(n, dtype=np.int64)
+    b_owners[order_a] = ob[order_b]
 
     groups: list[tuple[list[int], list[int]]] = []
     for g in np.flatnonzero(sizes > 1).tolist():
         s, m = int(starts[g]), int(sizes[g])
-        cpos = order_a[s:s + m].tolist()
-        owners = ob[order_b[s:s + m]].tolist()
-        groups.append((cpos, owners))
-    return _LabelingPlan(fa, oa, copy_ids, base_b, groups, rank)
+        groups.append((order_a[s:s + m].tolist(), ob[order_b[s:s + m]].tolist()))
+    return LabeledInstance(inst, fa, oa, b_owners, copy_ids, rank), groups
 
 
 def label_duplicates(inst: EddInstance,
@@ -664,20 +649,20 @@ def label_duplicates(inst: EddInstance,
     lexicographic order).  Yields lazily; raises AssignmentCapExceeded
     up front if the total exceeds ``max_assignments``.
     """
-    plan = _labeling_plan(inst)
+    ident, groups = _labeling_plan(inst)
     if max_assignments is not None:
         total = count_assignments(inst)
         if total > max_assignments:
             raise AssignmentCapExceeded(total, max_assignments)
-    return (_labeling(inst, plan, combo)
-            for combo in product(*(permutations(range(len(cpos))) for cpos, _ in plan.groups)))
+    return (_labeling(ident, groups, combo)
+            for combo in product(*(permutations(range(len(cpos))) for cpos, _ in groups)))
 
 
-def _labeling(inst: EddInstance, plan: _LabelingPlan, perms) -> LabeledInstance:
+def _labeling(ident: LabeledInstance, groups, perms) -> LabeledInstance:
     """The labeling that gives each group's t-th AB-side copy the BA-side
     owner ``owners[perm[t]]``, one perm per group."""
-    b_own = plan.base_b.copy()
-    for (cpos, owners), perm in zip(plan.groups, perms):
+    b_own = ident.b_owners.copy()
+    for (cpos, owners), perm in zip(groups, perms):
         for t, s in enumerate(perm):
             b_own[cpos[t]] = owners[s]
-    return LabeledInstance(inst, plan.values, plan.a_owners, b_own, plan.copy_ids, plan.rank)
+    return replace(ident, b_owners=b_own)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator
 
@@ -453,13 +453,13 @@ def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
     Raises AssignmentCapExceeded before the first labeling if the
     representatives exceed ``max_assignments``.
     """
-    plan = _labeling_plan(inst)
+    ident, groups = _labeling_plan(inst)
     _, _, ab_offsets, _, _, ba_offsets = inst._flats()
-    a_label = np.where(np.diff(ab_offsets)[plan.a_owners] == 1, -1, plan.a_owners)
+    a_label = np.where(np.diff(ab_offsets)[ident.a_owners] == 1, -1, ident.a_owners)
     b_label = np.where(np.diff(ba_offsets) == 1, -1, np.arange(inst.q))
     per_group, total = [], 1
-    radices = [math.factorial(len(cpos)) for cpos, _ in plan.groups]
-    for cpos, owners in plan.groups:
+    radices = [math.factorial(len(cpos)) for cpos, _ in groups]
+    for cpos, owners in groups:
         matchings = _distinct_matchings(a_label[cpos].tolist(), b_label[owners].tolist(),
                                         max_assignments)
         per_group.append(matchings)
@@ -469,19 +469,18 @@ def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
 
     # a group's class stays, steps to the next (whose record rewrites the
     # perm from its first change) or goes back to the first (a whole perm)
-    b_own, at = plan.base_b.copy(), [-1] * len(per_group)
+    b_own, at = ident.b_owners.copy(), [-1] * len(per_group)
     for combo in product(*map(range, map(len, per_group))):
         aid = 0
         for g, (records, k, radix) in enumerate(zip(per_group, combo, radices)):
             rank, first, tail = records[k]
             if k != at[g]:
-                cpos, owners = plan.groups[g]
+                cpos, owners = groups[g]
                 for t, s in enumerate(tail, start=first):
                     b_own[cpos[t]] = owners[s]
             aid = aid * radix + rank
         at = combo
-        yield aid, LabeledInstance(inst, plan.values, plan.a_owners, b_own.copy(),
-                                   plan.copy_ids, plan.rank)
+        yield aid, replace(ident, b_owners=b_own.copy())
 
 
 @dataclass(eq=False)

@@ -1,19 +1,26 @@
-"""Reference labeling plan and union check: the stable-sort versions.
+"""Reference labeling plan, copy numbering and union check: the
+stable-sort versions.
 
 The library ranks each side of the cross-digest data once with
 default-kind sorts and shares that ranking between
-``validate_consistency`` and ``_labeling_plan``.  These are the earlier
-versions, two stable argsorts for the plan and two ``np.sort`` for the
-union check, kept as the oracle the shared ranking is compared against.
+``validate_consistency`` and ``_labeling_plan``; ``CPermutation.along_line``
+numbers copies from the same kind of ranking.  These are the earlier
+versions, two stable argsorts for the plan, one for the copy numbers
+along a line and two ``np.sort`` for the union check, kept as the oracle
+the shared ranking is compared against.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
-from edd.instance import EddInstance, _LabelingPlan
+from edd.instance import EddInstance, LabeledInstance
 
 
 def reference_labeling_plan(inst: EddInstance):
-    """(values, a_owners, copy_ids, base_b, groups), as ``_LabelingPlan`` holds them."""
+    """(values, a_owners, copy_ids, base_b, groups): the identity
+    labeling's fields named in ``PLAN_FIELDS``, with base_b its
+    ``b_owners``, and the duplicate groups."""
     fa, oa, _, fb, ob, _ = inst._flats()
     n = len(fa)
     order_a = np.argsort(fa, kind="stable")
@@ -40,8 +47,22 @@ def reference_labeling_plan(inst: EddInstance):
     return fa, oa, copy_ids, base_b, groups
 
 
-PLAN_FIELDS = ("values", "a_owners", "copy_ids", "base_b", "groups")
-assert PLAN_FIELDS == _LabelingPlan._fields[:len(PLAN_FIELDS)]
+# the identity labeling's fields that ``reference_labeling_plan`` returns, in order
+PLAN_FIELDS = ("values", "a_owners", "copy_ids", "b_owners")
+assert set(PLAN_FIELDS) <= {f.name for f in fields(LabeledInstance)}
+
+
+def reference_occurrence_counts(values: np.ndarray) -> np.ndarray:
+    """1-based per-value occurrence counter, in sequence order."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    sizes = np.diff(np.append(starts, n))
+    within = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = within + 1
+    return out
 
 
 def reference_union_mismatch(inst: EddInstance) -> str | None:

@@ -170,6 +170,21 @@ def test_solve_dump_graph(capsys, demo_file, tmp_path):
     assert "B2 C12#1" in lines
 
 
+def test_solve_inconsistent_data(capsys, tmp_path):
+    path = tmp_path / "bad.edd"
+    path.write_text("EDD 1\nA 5 8\nB 4 10\nAB 1 5\nAB 2 9\nBA 1 4\nBA 2 3 7\n")
+    code, out = run(capsys, "check", str(path))
+    assert code == 1
+    violations = out.splitlines()
+    assert [line.split(":")[0] for line in violations] == ["SUM_A", "UNION_MISMATCH", "COUNT"]
+    assert run(capsys, "solve", str(path)) == (1, out)
+    code, out = run(capsys, "solve", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "status": "inconsistent",
+        "violations": [dict(zip(("rule", "detail"), line.split(": ", 1))) for line in violations]}
+
+
 @pytest.mark.parametrize("flags", [
     ("--max-assignments", "-3"),
     ("--max-assignments", "0"),
@@ -209,11 +224,15 @@ def test_verify_orders_file(capsys, demo_file, tmp_path):
     ([], "verify needs --pa and --pb, or --orders"),
     (["--orders", "ORDERS"], "PA must be a permutation of 1..5"),
     (["--orders", "MISSING"], "No such file"),
+    (["--orders", "KIND"], "line 2: expected PA or PB line"),
+    (["--orders", "PA_ONLY"], "solution file needs PA and PB lines"),
 ])
 def test_verify_orders_usage_errors(capsys, demo_file, tmp_path, argv, message):
-    orders = tmp_path / "orders.txt"
-    orders.write_text("PA 1 2 3\nPB 1 2 3\n")
-    argv = [str(orders) if a == "ORDERS" else str(tmp_path / "none") if a == "MISSING" else a
+    files = {"ORDERS": "PA 1 2 3\nPB 1 2 3\n", "KIND": "PA 1 2 3 5 4\nX 1\nPB 1 2 3\n",
+             "PA_ONLY": "# no PB line\nPA 1 2 3 5 4\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else str(tmp_path / "none") if a == "MISSING" else a
             for a in argv]
     code = main(["verify", demo_file, *argv])
     captured = capsys.readouterr()
@@ -228,6 +247,13 @@ def test_solve_distinct_assignment_cap_message(capsys, tmp_path):
                  "--min-duplicates", "2", "--out", str(path)]) == 0
     code, out = run(capsys, "solve", str(path), "--max-assignments", "10")
     assert (code, out) == (3, "cap-exceeded: more than 10 distinct duplicate assignments (cap 10)\n")
+
+
+def test_oracle_cap_exit_3(capsys, demo_file):
+    code = main(["oracle", demo_file, "--max-total", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: p + q = 8 exceeds exhaustive-search cap 3\n"
 
 
 def test_oracle_single(capsys, tmp_path):
@@ -343,6 +369,23 @@ def test_reduce_hp_output_parses(capsys, tmp_path):
     inst = parse_instance(out_file.read_text())
     assert validate_consistency(inst).ok
     assert inst.a_lengths == (14, 14, 14, 7)
+
+
+def test_reduce_hp_quiet_builds_no_text(capsys, tmp_path, monkeypatch):
+    gpath = tmp_path / "edge.graph"
+    gpath.write_text("GRAPH 2\n1 2\n")
+    code, text = run(capsys, "reduce-hp", str(gpath))
+    assert code == 0
+    out_file = tmp_path / "red.edd"
+    assert run(capsys, "reduce-hp", str(gpath), "--quiet", "--out", str(out_file)) == (0, "")
+    assert out_file.read_text() == text
+
+    def refuse(_inst):
+        raise AssertionError("serialized with nowhere to write it")
+
+    monkeypatch.setattr(cli, "serialize_instance", refuse)
+    assert run(capsys, "reduce-hp", str(gpath), "--quiet") == (0, "")
+    assert run(capsys, "reduce-hp", str(gpath), "--quiet", "--json") == (0, "")
 
 
 def test_extract_hp_end_to_end(capsys, tmp_path):

@@ -8,7 +8,9 @@ from edd.instance import (
     COUNT,
     SUM_A,
     UNION_MISMATCH,
+    MAX_LENGTH,
     AssignmentCapExceeded,
+    CPermutation,
     EddInstance,
     ParseError,
     count_assignments,
@@ -20,7 +22,12 @@ from edd.instance import (
 )
 
 from conftest import DEMO_TEXT, demo_instance, dup_instance, multi_dup_instance
-from labeling_reference import PLAN_FIELDS, reference_labeling_plan, reference_union_mismatch
+from labeling_reference import (
+    PLAN_FIELDS,
+    reference_labeling_plan,
+    reference_occurrence_counts,
+    reference_union_mismatch,
+)
 
 
 def test_parse_demo_document():
@@ -226,14 +233,26 @@ def _rank_once_cases():
 
 def test_rank_once_plan_matches_stable_sort_reference():
     for inst in _rank_once_cases():
-        got = _labeling_plan(inst)
-        for name, want in zip(PLAN_FIELDS, reference_labeling_plan(inst)):
-            if name == "groups":
-                assert got.groups == want
-            else:
-                assert np.array_equal(getattr(got, name), want), name
-        order_a = np.argsort(got.rank)
-        assert np.array_equal(order_a, np.lexsort((got.copy_ids, got.values)))
+        ident, groups = _labeling_plan(inst)
+        *want_fields, want_groups = reference_labeling_plan(inst)
+        for name, want in zip(PLAN_FIELDS, want_fields, strict=True):
+            assert np.array_equal(getattr(ident, name), want), name
+        assert groups == want_groups
+        order_a = np.argsort(ident.rank)
+        assert np.array_equal(order_a, np.lexsort((ident.copy_ids, ident.values)))
+
+
+def test_along_line_copy_ids_match_stable_sort_reference():
+    rng = np.random.default_rng(3)
+    past_int64_key = 0
+    for inst in _rank_once_cases():
+        values = inst._flats()[0]
+        for line in (values, values[::-1], rng.permutation(values)):
+            owners = np.zeros(len(line), dtype=np.int64)
+            got = CPermutation.along_line(line, owners, owners).columns[3]
+            assert np.array_equal(got, reference_occurrence_counts(line))
+        past_int64_key += int(values.max()) >= MAX_LENGTH // len(values)
+    assert past_int64_key == 1
 
 
 def test_rank_once_union_mismatch_names_the_same_position():

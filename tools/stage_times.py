@@ -23,7 +23,9 @@ is measured in two child processes:
 
 - stages, all in one process: read the file, ``parse_instance``,
   ``validate_consistency``, ``_labeling_plan``, the first labeling
-  (``_labeling`` with identity matchings), the structure screen
+  (``_labeling`` with identity matchings; it takes the plan's identity
+  labeling and groups, or on a side from before the plan was a
+  labeling, the instance and the whole plan), the structure screen
   (``build_graph`` + ``check_structure``), ``dangler_first_search`` and
   rendering the four layout lines of the first layout; the last two
   only when the screen finds no violation.  Each stage's time is the
@@ -81,13 +83,16 @@ for _ in range(reps):
     del text
     timed("validate", lambda: validate_consistency(inst))
     plan = timed("plan", lambda: _labeling_plan(inst))
-    lab = timed("label", lambda: _labeling(inst, plan, [range(len(c)) for c, _ in plan.groups]))
+    old = hasattr(plan, "groups")   # a _LabelingPlan, not (identity labeling, groups)
+    args = (inst, plan) if old else plan
+    groups = plan.groups if old else plan[1]
+    lab = timed("label", lambda: _labeling(*args, [range(len(c)) for c, _ in groups]))
     g = build_graph(lab)
     verdict = timed("screen", lambda: check_structure(g))
     if verdict.violation is None:
         fam = timed("dangler", lambda: dangler_first_search(g, verdict))
         timed("render", lambda: next(cli._family_layouts(inst, expand_family(fam, 1), False)))
-    del inst, plan, lab, g, verdict
+    del inst, plan, args, groups, lab, g, verdict
 print(json.dumps({name: statistics.median(ts) for name, ts in times.items()}))
 '''
 

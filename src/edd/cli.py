@@ -16,7 +16,6 @@ import math
 import sys
 from contextlib import nullcontext
 from enum import IntEnum
-from itertools import chain
 
 import numpy as np
 
@@ -160,68 +159,58 @@ def _text(tokens: list) -> str:
 
 
 def _layout_tokens(inst: EddInstance, pi_a: np.ndarray, pi_b: np.ndarray,
-                   c_values: np.ndarray | None) -> list[np.ndarray]:
+                   c_values: np.ndarray | None = None) -> list[np.ndarray]:
     """A layout's lines as token arrays: piA, piB, paIdx, pbIdx (and piC under --json)."""
     a_len, b_len = inst._length_arrays()
     tokens = [a_len[pi_a], b_len[pi_b], pi_a + 1, pi_b + 1]
     return tokens if c_values is None else tokens + [c_values]
 
 
-def _family_layouts(inst: EddInstance, expansion, as_json: bool):
-    """Each layout of ``expansion`` as its lines, text or (``--json``)
-    lists.  A block holds one segment of the pi it permutes and its span
-    of the C-order, so each line is held as parts: fixed stretches
-    formatted once, and a hole per block that each odometer move refills
-    with the block's order, formatted the first time it is reached."""
-    if as_json:
-        fmt, join = list, lambda parts: list(chain.from_iterable(parts))
-    else:
-        fmt, join = _text, " ".join
-    fam = expansion.family
-    tokens = _layout_tokens(inst, *fam.induced_index_arrays(),
-                            fam.c_value_array() if as_json else None)
-    if len(expansion) == 1:
-        yield [fmt(line.tolist()) for line in tokens]
-        return
-    which, at = (a.tolist() for a in fam.block_segments())   # which: 0 piA, 1 piB per block
-    spans = list(zip(fam.block_starts.tolist(), fam.block_ends.tolist(), at))
-    lines, holes = [], [[] for _ in spans]   # holes: block -> its (line, part)s
-    for li, line in enumerate(tokens):
-        parts, pos = [], 0
-        for k, (s, e, t) in enumerate(spans):
-            if li < 4 and which[k] != li % 2:   # piA and paIdx hold the blocks that permute pi_a
-                continue
-            start, end = (s, e) if li == 4 else (t, t + e - s)
-            if pos < start:
-                parts.append(fmt(line[pos:start].tolist()))
-            holes[k].append((li, len(parts)))
-            parts.append(fmt(line[start:end].tolist()))
-            pos = end
-        if pos < len(line) or not parts:
-            parts.append(fmt(line[pos:].tolist()))
-        lines.append(parts)
-    # per block, by rank of its order: the texts of its holes
-    chunks = [[tuple(lines[li][at] for li, at in h)] for h in holes]
+_LINE_NAMES = ("piA", "piB", "paIdx", "pbIdx", "piC")
 
-    yield [join(parts) for parts in lines]
-    ranks = [0] * len(spans)
-    for k, order in expansion.steps():
-        ranks[k] += 1
-        if ranks[k] == len(chunks[k]):
-            idx, val = fmt((expansion.segment(k, order) + 1).tolist()), fmt(order)
-            chunks[k].append(tuple(idx if li in (2, 3) else val for li, _at in holes[k]))
-        for b in range(k, len(spans)):
-            if b > k:
-                ranks[b] = 0   # later blocks are back in ascending order
-            for (li, at), text in zip(holes[b], chunks[b][ranks[b]]):
-                lines[li][at] = text
-        yield [join(parts) for parts in lines]
+
+def _write_layouts(inst: EddInstance, expansion, write) -> None:
+    """Write the layouts of ``expansion`` as text records, numbered from 1.
+
+    The record is formatted once, with a hole for each segment of a
+    varying block: its values in piA or piB, its indices in paIdx or
+    pbIdx.  Per group of ``expansion.groups``, the holes of the varying
+    blocks but the last are filled in and the text is cut around the
+    last one's; each layout is one f-string of its number, the three
+    pieces and that block's texts."""
+    fam, lab, varying = expansion.family, expansion.family.labeled, expansion.varying
+    which, at = (a.tolist() for a in fam.block_segments()) if varying else ((), ())
+    template, holes = "", []   # holes: (place in varying, 0 values or 1 indices), in text order
+    for li, tokens in enumerate(_layout_tokens(inst, *fam.induced_index_arrays())):
+        line = tokens.tolist()
+        here = [(v, k) for v, k in enumerate(varying) if which[k] == li % 2]   # piA, paIdx: pi_a's
+        for v, k in reversed(here):
+            line[at[k]:at[k] + fam.block_ends[k] - fam.block_starts[k]] = ["%s"]
+        holes += [(v, li // 2) for v, _k in here]
+        template += f"\n{_LINE_NAMES[li]}: {_text(line)}"
+        del line   # one line's tokens at a time
+    template += "\n"
+    if not varying:
+        write("solution: 1" + template)
+        return
+    owners = (lab.a_owners, lab.b_owners)
+
+    def texts(k: int, members: np.ndarray) -> tuple[str, str]:
+        return _text(lab.values[members].tolist()), _text((owners[which[k]][members] + 1).tolist())
+
+    number = 0
+    for views, lasts in expansion.groups(texts):
+        row = [*views, ("\0", "\0")]   # the last block's holes: where the text is cut
+        a, b, c = (template % tuple([row[v][kind] for v, kind in holes])).split("\0")
+        for values, indices in lasts:
+            number += 1
+            write(f"solution: {number}{a}{values}{b}{indices}{c}")
 
 
 def _emit_layout(out: _Output, i: int, lines: list, records: list | None):
     """Print one layout, or add its JSON record to ``records`` under ``--json``."""
     if out.as_json:
-        records.append(dict(zip(("piA", "piB", "paIdx", "pbIdx", "piC"), lines)))
+        records.append(dict(zip(_LINE_NAMES, lines)))
     else:
         out.line(f"solution: {i}\npiA: {lines[0]}\npiB: {lines[1]}"
                  f"\npaIdx: {lines[2]}\npbIdx: {lines[3]}")
@@ -291,13 +280,15 @@ def cmd_solve(args, out: _Output) -> int:
     budget = args.max_solutions
     truncated = False
     fam_payload = []
+    show = not out.quiet   # --quiet builds no family or layout text
     for idx, (aid, fam) in enumerate(result):
         out.line(f"assignment: {aid}")
-        values = fam.c_value_array().tolist() if args.emit_families or out.as_json else None
-        if args.emit_families:
+        values = (fam.c_value_array().tolist()
+                  if show and (out.as_json or args.emit_families) else None)
+        if args.emit_families and show:
             out.line(f"family: {_family_notation(fam, values)}")
         info: dict = {}
-        if out.as_json:
+        if out.as_json and show:
             count, digits = fam.expansion_count, sys.get_int_max_str_digits()
             info = {"assignment": aid, "family": _family_slots(fam, values),
                     # an exact count too long to print is left out
@@ -308,8 +299,12 @@ def cmd_solve(args, out: _Output) -> int:
             fam_payload.append(info)
         if (args.all or idx == 0) and budget > 0:
             expansion = expand_family(fam, max_expansions=budget if args.all else 1)
-            for i, lines in enumerate(_family_layouts(inst, expansion, out.as_json), start=1):
-                _emit_layout(out, i, lines, info.get("solutions"))
+            if out.as_json and show:
+                for pi_a, pi_b, c_order in expansion:
+                    tokens = _layout_tokens(inst, pi_a, pi_b, fam.labeled.values[c_order])
+                    info["solutions"].append(dict(zip(_LINE_NAMES, (t.tolist() for t in tokens))))
+            elif show:
+                _write_layouts(inst, expansion, sys.stdout.write)
             if args.all:
                 budget -= len(expansion)
                 if expansion.truncated:

@@ -14,8 +14,8 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product
-from typing import Iterator
+from itertools import product, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class SolutionFamily:
         at an A-node, whose members each have a single-piece B-fragment;
         0, pi_a, for one at a B-node) and where the block starts in it:
         the block holds ``pi[t:t + size]`` of the canonical expansion, and
-        stepping it changes nothing else."""
+        reordering it changes nothing else."""
         at_a = self.block_attach < self.labeled.base.p
         a_runs, b_runs = (runs[self.block_starts] for runs in self._run_index())
         return at_a.astype(np.int64), np.where(at_a, b_runs, a_runs)
@@ -257,103 +257,108 @@ def solve_labeled(inst: LabeledInstance) -> SolutionFamily | NoSolution:
     return dangler_first_search(g, verdict)
 
 
-def _next_permutation(arr: list[int]) -> bool:
-    """Step ``arr`` to its next lexicographic ordering in place, equal
-    items counting as one; past the last one, reset it to ascending and
-    return False."""
+def _next_permutation(arr: list[int]) -> None:
+    """Step ``arr``, not yet in its last lexicographic ordering, to the
+    next one in place, equal items counting as one (Knuth's Algorithm L)."""
     i = len(arr) - 2
-    while i >= 0 and arr[i] >= arr[i + 1]:
+    while arr[i] >= arr[i + 1]:
         i -= 1
-    if i >= 0:
-        j = len(arr) - 1
-        while arr[j] <= arr[i]:
-            j -= 1
-        arr[i], arr[j] = arr[j], arr[i]
+    j = len(arr) - 1
+    while arr[j] <= arr[i]:
+        j -= 1
+    arr[i], arr[j] = arr[j], arr[i]
     arr[i + 1:] = reversed(arr[i + 1:])
-    return i >= 0
 
 
 class FamilyExpansion:
-    """A family's distinct layouts, at most ``max_expansions`` of them,
-    streamed from one multiset odometer over its blocks; none is held.
+    """A family's distinct layouts, at most ``max_expansions`` of them:
+    the product of its blocks' distinct orders, the last block fastest,
+    the canonical expansion first; no layout is held.
 
-    The family has the product over its blocks of k! / prod(m_v!)
-    distinct layouts (k values with multiplicities m_v), so ``len()`` and
-    ``truncated`` are known before iteration.  The first layout is the
-    canonical expansion; ``steps()`` gives the moves to the others, and
-    iterating gives every layout as fresh int64 arrays (pi_a, pi_b,
-    c_order), ``c_order`` indexing ``family.labeled``.
+    A block of k values with multiplicities m_v has k! / prod(m_v!)
+    orders, so ``len()``, ``truncated`` and ``varying`` are known before
+    iteration.  ``varying`` maps each block that the first ``len()``
+    layouts take through two or more orders to that number, in block
+    order; every other block keeps its canonical order.  Iterating gives
+    each layout as fresh int64 arrays (pi_a, pi_b, c_order), ``c_order``
+    indexing ``family.labeled``.
     """
 
     def __init__(self, family: SolutionFamily, max_expansions: int):
         self.family = family
         starts, ends, values = family.block_starts, family.block_ends, family.labeled.values
-        count = 1   # distinct layouts, counted until they pass the cap
-        for k in range(len(starts)):   # a block's distinct orders: k! / prod(m_v!)
+        orders, count = {}, 1   # block -> its orders, from the last back until past the cap
+        for k in range(len(starts) - 1, -1, -1):
             m = Counter(values[family.order[starts[k]:ends[k]]].tolist())
-            count *= math.factorial(m.total()) // math.prod(map(math.factorial, m.values()))
+            orders[k] = math.factorial(m.total()) // math.prod(map(math.factorial, m.values()))
+            count *= orders[k]
             if count > max_expansions:
                 break
-        self._len = min(count, max_expansions)
-        self.truncated = count > max_expansions
+        self._len, self.truncated = min(count, max_expansions), count > max_expansions
+        # block k takes min(its orders, ceil(len / the orders of the blocks after it))
+        self.varying: dict[int, int] = {}
+        for k, c in reversed(orders.items()):   # count becomes the orders after block k
+            count //= c
+            if c > 1 and self._len > count:
+                self.varying[k] = min(c, -(-self._len // count))
 
     def __len__(self) -> int:
         return self._len
 
-    def steps(self) -> Iterator[tuple[int, list[int]]]:
-        """The odometer's move to each layout after the first: block k
-        steps to the next lexicographic permutation of its values, the
-        last block fastest, and every later block goes back to ascending.
-        Yields k and block k's values in their new order, a list that the
-        next move changes in place."""
+    def orders(self, k: int) -> Iterator[np.ndarray]:
+        """Block k's C-indices in each distinct order of its values, in
+        lexicographic order, as many as the first ``len()`` layouts
+        reach; the t-th copy of a value takes that value's t-th place."""
         fam = self.family
-        orders: dict[int, list[int]] = {}   # block -> its values, as stepped so far
-        for _ in range(len(self) - 1):
-            for k in range(len(fam.block_starts) - 1, -1, -1):
-                if k not in orders:
-                    block = fam.order[fam.block_starts[k]:fam.block_ends[k]]
-                    orders[k] = fam.labeled.values[block].tolist()
-                if _next_permutation(orders[k]):
-                    break
-            yield k, orders[k]
+        canonical = fam.order[fam.block_starts[k]:fam.block_ends[k]]   # by (value, copy)
+        values = fam.labeled.values[canonical].tolist()
+        for r in range(self.varying.get(k, min(1, self._len))):
+            if r:
+                _next_permutation(values)
+            members = np.empty_like(canonical)
+            members[np.argsort(values, kind="stable")] = canonical
+            yield members
 
-    def placed(self, k: int, order: list[int]) -> np.ndarray:
-        """Block k's C-indices in the value order ``order``: the block
-        ascends by (value, copy), and the t-th copy of a value takes
-        that value's t-th place."""
-        canonical = self.family.order[self.family.block_starts[k]:self.family.block_ends[k]]
-        members = np.empty_like(canonical)
-        members[np.argsort(order, kind="stable")] = canonical
-        return members
-
-    def segment(self, k: int, order: list[int]) -> np.ndarray:
-        """Block k's new segment of the fragment order it permutes, for
-        the value order ``order``: its members' B-owners for a block at
-        an A-node, else their A-owners.  ``block_segments()`` says where
-        the segment goes."""
-        lab = self.family.labeled
-        owners = lab.b_owners if self.family.block_attach[k] < lab.base.p else lab.a_owners
-        return owners[self.placed(k, order)]
+    def groups(self, view) -> Iterator[tuple[list, Iterable]]:
+        """The first ``len()`` layouts, two or more, by ``view(k, members)``
+        of the varying blocks' orders: per combination of orders of all
+        of them but the last, their views and the last one's views, one
+        per layout.  The first varying block's views are made as they are
+        reached; those of the later ones, which every combination
+        revisits, once each."""
+        first, *later = (map(view, repeat(k), self.orders(k)) for k in self.varying)
+        if not later:
+            yield [], first
+            return
+        *middle, last = map(list, later)
+        left = len(self)
+        for head in first:
+            for rest in product(*middle):
+                yield [head, *rest], last[:left]
+                left -= len(last)
+                if left <= 0:
+                    return
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        if not len(self):
-            return
         fam = self.family
-        canon = fam.induced_index_arrays()
-        layout, pis = fam.order.copy(), [pi.copy() for pi in canon]
-        yield pis[0].copy(), pis[1].copy(), layout.copy()
+        layout, pis = fam.order.copy(), list(fam.induced_index_arrays())
+        if not self.varying:   # the canonical layout, or none under a cap of 0
+            yield from [(pis[0], pis[1], layout)] * len(self)
+            return
         which, at = fam.block_segments()
-        # per pi, the runs that start before each block's end: from there
-        # on, a step leaves the pi as in the canonical expansion
-        kept = [runs[fam.block_ends - 1] + 1 for runs in fam._run_index()]
-        for k, order in self.steps():
-            s, e = fam.block_starts[k], fam.block_ends[k]
-            layout[s:e] = self.placed(k, order)
-            layout[e:] = fam.order[e:]   # later blocks back in ascending order
-            for pi, c, r in zip(pis, canon, kept):
-                pi[r[k]:] = c[r[k]:]
-            pis[which[k]][at[k]:at[k] + e - s] = self.segment(k, order)
-            yield pis[0].copy(), pis[1].copy(), layout.copy()
+        owners = (fam.labeled.a_owners, fam.labeled.b_owners)
+
+        def place(k: int, members: np.ndarray):   # in the layout and in the pi it permutes
+            s, e, w = fam.block_starts[k], fam.block_ends[k], which[k]
+            layout[s:e] = members
+            pis[w][at[k]:at[k] + e - s] = owners[w][members]
+
+        for outer, lasts in self.groups(lambda k, members: (k, members)):
+            for k, members in outer:
+                place(k, members)
+            for k, members in lasts:
+                place(k, members)
+                yield pis[0].copy(), pis[1].copy(), layout.copy()
 
 
 def expand_family(fam: SolutionFamily,
@@ -361,7 +366,7 @@ def expand_family(fam: SolutionFamily,
     """The family's distinct layouts up to the cap, lazily.  Members of a
     block hang off one spine node, each with a single-piece fragment of
     its own length on the other side, so equal values are
-    interchangeable: stepping each block through the permutations of
+    interchangeable: taking each block through the distinct orders of
     its values (a multiset) gives each distinct layout exactly once,
     where it first comes in ``itertools.product`` order."""
     return FamilyExpansion(fam, max_expansions)

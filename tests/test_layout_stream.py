@@ -6,13 +6,14 @@ import contextlib
 import functools
 import io
 import random
+import tracemalloc
 
 import pytest
 
 import expansion_reference
-from edd import cli
+from edd import cli, solver
 from edd.generator import InfeasibleParams, random_instance
-from edd.instance import serialize_instance
+from edd.instance import EddInstance, serialize_instance
 from edd.solver import solve
 
 from expansion_reference import reference_cmd_solve
@@ -92,10 +93,11 @@ def test_multi_family_budget_matches_eager_reference(tmp_path):
     assert truncated
 
 
-def layout_cut_map(tmp_path, seed: int, equal_pieces: bool) -> str:
+def layout_cut_map(tmp_path, seed: int, equal_pieces: bool, runs=(4, 5, 6)) -> str:
     """A map of the all-layouts cut pattern, made with ``edd gen --cuts-a/--cuts-b``:
-    runs of B cuts inside one A-fragment give blocks of 3, 4 and 5 pieces."""
-    pattern = "ABBBBABABBBBBABABBBBBBABA"
+    a run of r B cuts inside one A-fragment gives a block of r - 1 pieces, so
+    the default runs give blocks of 3, 4 and 5 pieces."""
+    pattern = "A" + "ABA".join("B" * r for r in runs) + "ABA"
     rng = random.Random(seed)
     lengths = rng.sample(range(1, 10**4), len(pattern) + 1)
     if equal_pieces:   # two pieces of the 5-block: 8,640 distinct layouts
@@ -120,3 +122,82 @@ def test_all_layouts_pattern_matches_eager_reference(tmp_path, equal_pieces, lay
     assert text.count("solution: ") == layouts
     # all 17,280 layouts are distinct without the equal pieces: the cap cuts them
     assert (code, "truncated: true" in text) == ((0, False) if equal_pieces else (3, True))
+
+
+@pytest.mark.parametrize("equal_pieces", [True, False])
+def test_group_edges_match_eager_reference(tmp_path, equal_pieces):
+    # the last block has 60 orders (120 without the equal pieces): caps around
+    # one and two passes through it, and one short of every layout
+    path = layout_cut_map(tmp_path, 3, equal_pieces)
+    caps = ("59", "60", "61", "119", "8639")
+    assert_same_output(path, [[*json, "--all", "--max-solutions", cap]
+                              for cap in caps for json in ([], ["--json"])])
+
+
+def test_two_order_last_block_matches_eager_reference(tmp_path):
+    # blocks of 2, 3, 3, 3, 3 and 2 pieces: every combination of the five
+    # blocks before the last prints two layouts
+    path = layout_cut_map(tmp_path, 5, False, runs=(3, 4, 4, 4, 4, 3))
+    (_aid, fam), = solve(cli._load_instance(str(path)))
+    assert fam.block_sizes() == (2, 3, 3, 3, 3, 2)
+    outs = assert_same_output(path, FLAG_SETS + (["--all", "--max-solutions", "5183"],))
+    assert outs[0][1].count("solution: ") == 2 * 6**4 * 2
+
+
+def test_each_reached_block_order_is_made_once(tmp_path, monkeypatch):
+    calls = []
+    step = solver._next_permutation
+    monkeypatch.setattr(solver, "_next_permutation", lambda arr: calls.append(1) or step(arr))
+    code, text = _run(cli.cmd_solve, ["solve", str(layout_cut_map(tmp_path, 3, True)), "--all"])
+    assert (code, text.count("solution: ")) == (0, 8640)
+    assert len(calls) == 5 + 23 + 59   # 6, 24 and 60 orders: one step to each after the first
+
+
+@pytest.mark.parametrize("equal_pieces, code", [(True, 0), (False, 3)])
+def test_quiet_builds_no_text(tmp_path, monkeypatch, capsys, equal_pieces, code):
+    # the exit code needs only len() and truncated, known before any layout
+    def refuse(*args):
+        raise AssertionError("--quiet built layout or family text")
+
+    for name in ("_write_layouts", "_layout_tokens", "_family_notation", "_family_slots"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = str(layout_cut_map(tmp_path, 3, equal_pieces))
+    for flags in (["--all", "--emit-families"], ["--json", "--all", "--emit-families"]):
+        assert cli.main(["solve", path, "--quiet", *flags]) == code
+    assert capsys.readouterr() == ("", "")
+
+
+class _CountingSink:
+    """Counts what is written to it.  Its first write, "status: ok" after
+    the solve, resets the traced peak, so the peak covers printing."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        if not self.chars:
+            tracemalloc.reset_peak()
+        self.chars += len(text)
+        return len(text)
+
+
+def _printing_peak(path, cap: int) -> int:
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["solve", str(path), "--all", "--max-solutions", str(cap)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and sink.chars > cap * 10_000
+    return peak
+
+
+def test_printing_memory_does_not_grow_with_the_cap(tmp_path):
+    # one block of 1,000 pieces: each layout is a new order of it, about 15 kB of text
+    leaves = tuple(random.Random(5).sample(range(10**9, 10**10), 1000))
+    inst = EddInstance((sum(leaves),), leaves, (leaves,), tuple((v,) for v in leaves))
+    path = tmp_path / "star.edd"
+    path.write_text(serialize_instance(inst))
+    assert _printing_peak(path, 400) < 1.5 * _printing_peak(path, 200)

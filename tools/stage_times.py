@@ -5,7 +5,7 @@
 The change is the ``src/`` of this checkout.  Its parent is ``HEAD``
 when ``src/`` differs from ``HEAD`` (the change is not committed yet),
 otherwise ``HEAD~1``; the parent's ``src/`` is exported with
-``git archive`` into a temporary directory.  The inputs are nine fixed
+``git archive`` into a temporary directory.  The inputs are ten fixed
 maps, written there by this checkout's generator:
 
 - ``free_N``: ``random_instance(7, N/2 + 1, N/2 - 1, 4 * 10**18,
@@ -16,7 +16,9 @@ maps, written there by this checkout's generator:
   ``perfbench/workloads.break_layout`` (``random.Random(7)``):
   consistent, with no layout;
 
-for N = 10**4, 10**5 and 10**6 fragments.  Each of three runs measures
+for N = 10**4, 10**5 and 10**6 fragments, and ``layouts``, the
+27-fragment map ``perfbench/workloads.layout_map(7, 0)`` of the
+all-layouts cut pattern, with 8,640 distinct layouts.  Each of three runs measures
 each map on both sides, the parent first in runs 1 and 3 and the change
 first in run 2, since the core speed of a shared machine drifts.  A side
 is measured in two child processes:
@@ -27,11 +29,14 @@ is measured in two child processes:
   labeling and groups, or on a side from before the plan was a
   labeling, the instance and the whole plan), the structure screen
   (``build_graph`` + ``check_structure``), ``dangler_first_search`` and
-  rendering the four layout lines of the first layout; the last two
-  only when the screen finds no violation.  Each stage's time is the
-  median of 5, 3 or 1 repetitions at 10**4, 10**5 or 10**6 fragments;
-- e2e: ``python -m edd solve MAP``, stdout to ``/dev/null``, with its
-  wall time, exit code and peak RSS (``os.wait4``).
+  rendering the text of the first layout (``cli._write_layouts`` into a
+  sink that drops it, or on a side from before it, the four lines of
+  ``cli._family_layouts``); the last two only when the screen finds no
+  violation.  Each stage's time is the median of 5, 3 or 1 repetitions
+  at 10**4, 10**5 or 10**6 fragments, and of 5 on ``layouts``;
+- e2e: ``python -m edd solve MAP``, with ``--all`` on ``layouts``,
+  stdout to ``/dev/null``, with its wall time, exit code and peak RSS
+  (``os.wait4``).
 
 The JSON report goes to stdout, progress lines to stderr.  The script
 takes no options.
@@ -91,7 +96,10 @@ for _ in range(reps):
     verdict = timed("screen", lambda: check_structure(g))
     if verdict.violation is None:
         fam = timed("dangler", lambda: dangler_first_search(g, verdict))
-        timed("render", lambda: next(cli._family_layouts(inst, expand_family(fam, 1), False)))
+        if hasattr(cli, "_family_layouts"):   # a side from before _write_layouts
+            timed("render", lambda: next(cli._family_layouts(inst, expand_family(fam, 1), False)))
+        else:
+            timed("render", lambda: cli._write_layouts(inst, expand_family(fam, 1), lambda text: None))
     del inst, plan, args, groups, lab, g, verdict
 print(json.dumps({name: statistics.median(ts) for name, ts in times.items()}))
 '''
@@ -139,19 +147,33 @@ for kind, (spec, inst) in specs.items():
 print(json.dumps(specs))
 '''
 
+LAYOUT_CODE = r'''
+import sys
+from edd.instance import serialize_instance
+from workloads import layout_map
+
+inst, _truth = layout_map(7, 0)
+open(sys.argv[1], "w", encoding="utf-8").write(serialize_instance(inst))
+'''
+
 
 def write_maps(into: Path) -> dict:
-    """The nine input maps, made by this checkout's generator in a child
-    process, so that this process stays small: a child's peak RSS counts
-    the process it was started from.  Returns name -> (path, spec, size label)."""
+    """The ten input maps, made by this checkout's generator in child
+    processes, so that this process stays small: a child's peak RSS counts
+    the process it was started from.  Returns name -> (path, spec,
+    stage repetitions, e2e solve options)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "perfbench"))))
     maps = {}
     for label, size in SIZES.items():
         done = subprocess.run([sys.executable, "-c", MAP_CODE, str(into), label, str(size)],
                               env=env, check=True, capture_output=True, text=True)
         for kind, spec in json.loads(done.stdout).items():
-            maps[f"{kind}_{label}"] = (into / f"{kind}_{label}.edd", spec, label)
+            maps[f"{kind}_{label}"] = (into / f"{kind}_{label}.edd", spec, REPS[label], [])
             log(f"wrote {kind}_{label}.edd")
+    path = into / "layouts.edd"
+    subprocess.run([sys.executable, "-c", LAYOUT_CODE, str(path)], env=env, check=True)
+    maps["layouts"] = (path, "perfbench/workloads.layout_map(7, 0)", 5, ["--all"])
+    log("wrote layouts.edd")
     return maps
 
 
@@ -169,13 +191,15 @@ def child(argv: list[str], src: Path, capture: bool) -> tuple[dict, str]:
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}, out
 
 
-def measure(src: Path, stage_script: Path, path: Path, reps: int) -> tuple[dict, dict]:
+def measure(src: Path, stage_script: Path, path: Path, reps: int,
+            options: list[str]) -> tuple[dict, dict]:
     """The stage times and the e2e row of one map on one side."""
     ran, out = child([sys.executable, str(stage_script), str(src), str(path), str(reps)],
                      src, capture=True)
     if ran["exit"] != 0:
         raise RuntimeError(f"stage run failed on {path.name} with {src}")
-    e2e, _ = child([sys.executable, "-m", "edd", "solve", str(path)], src, capture=False)
+    e2e, _ = child([sys.executable, "-m", "edd", "solve", str(path), *options], src,
+                   capture=False)
     return json.loads(out), e2e
 
 
@@ -230,9 +254,9 @@ def main(argv: list[str]) -> int:
         raw: dict = {name: {side: [] for side in sides} for name in maps}
         for run in range(RUNS):
             order = ("parent", "change") if run % 2 == 0 else ("change", "parent")
-            for name, (path, _spec, label) in maps.items():
+            for name, (path, _spec, reps, options) in maps.items():
                 for side in order:
-                    stages, e2e = measure(sides[side], stage_script, path, REPS[label])
+                    stages, e2e = measure(sides[side], stage_script, path, reps, options)
                     raw[name][side].append((stages, e2e))
                     log(f"run {run + 1} {name} {side}: e2e {e2e['s']} s, exit {e2e['exit']}, "
                         f"{e2e['peak_rss_mb']} MB")
@@ -247,8 +271,8 @@ def main(argv: list[str]) -> int:
                             [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                             check=True, capture_output=True, text=True).stdout.strip(),
                         "cpus": os.cpu_count(), "platform": platform.platform()},
-            "inputs": {name: {"spec": spec, "bytes": path.stat().st_size}
-                       for name, (path, spec, _label) in maps.items()},
+            "inputs": {name: {"spec": spec, "bytes": path.stat().st_size, "solve": options}
+                       for name, (path, spec, _reps, options) in maps.items()},
             "method": __doc__.split("\n\n", 2)[2].strip(),
             "summary": summarize(results),
             "results": results,

@@ -16,6 +16,8 @@ import math
 import sys
 from contextlib import nullcontext
 from enum import IntEnum
+from itertools import chain, islice, product, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,6 +169,7 @@ def _layout_tokens(inst: EddInstance, pi_a: np.ndarray, pi_b: np.ndarray,
 
 
 _LINE_NAMES = ("piA", "piB", "paIdx", "pbIdx", "piC")
+_BATCH_CHARS = 1 << 16   # of records per batch of a streamed block's texts
 
 
 def _write_layouts(inst: EddInstance, expansion, write) -> None:
@@ -174,18 +177,26 @@ def _write_layouts(inst: EddInstance, expansion, write) -> None:
 
     The record is formatted once, with a hole for each segment of a
     varying block: its values in piA or piB, its indices in paIdx or
-    pbIdx.  Per group of ``expansion.groups``, the holes of the varying
-    blocks but the last are filled in and the text is cut around the
-    last one's; each layout is one f-string of its number, the three
-    pieces and that block's texts."""
+    pbIdx.  Per run of ``expansion.groups``, the outer blocks' holes are
+    filled in and the text is cut around the inner ones'.  The inner
+    holes' texts are columns over the product of the inner blocks,
+    made once, or per batch of about ``_BATCH_CHARS`` characters where
+    the streamed first block is inner.  Each record is one join of the
+    pieces, its number and its texts, and is its own write: batches
+    joined into one string made an ``io.StringIO`` stdout fault in about
+    540 fresh pages per call of 8,640 layouts, and records of 300
+    characters none."""
     fam, lab, varying = expansion.family, expansion.family.labeled, expansion.varying
     which, at = (a.tolist() for a in fam.block_segments()) if varying else ((), ())
     template, holes = "", []   # holes: (place in varying, 0 values or 1 indices), in text order
+    chars = 0   # of a record's hole texts, the same in every layout
     for li, tokens in enumerate(_layout_tokens(inst, *fam.induced_index_arrays())):
         line = tokens.tolist()
         here = [(v, k) for v, k in enumerate(varying) if which[k] == li % 2]   # piA, paIdx: pi_a's
         for v, k in reversed(here):
-            line[at[k]:at[k] + fam.block_ends[k] - fam.block_starts[k]] = ["%s"]
+            seg = slice(at[k], at[k] + fam.block_ends[k] - fam.block_starts[k])
+            chars += len(_text(line[seg]))
+            line[seg] = ["%s"]
         holes += [(v, li // 2) for v, _k in here]
         template += f"\n{_LINE_NAMES[li]}: {_text(line)}"
         del line   # one line's tokens at a time
@@ -198,22 +209,30 @@ def _write_layouts(inst: EddInstance, expansion, write) -> None:
     def texts(k: int, members: np.ndarray) -> tuple[str, str]:
         return _text(lab.values[members].tolist()), _text((owners[which[k]][members] + 1).tolist())
 
+    inner, runs = expansion.groups(texts)
+    outer = len(varying) - len(inner)
+    streamed = int(not outer)   # the first varying block is inner, and its views stream
+    per = math.prod(map(len, inner[streamed:]))   # layouts per streamed view, or per run
+    cut = [(v - outer, kind) for v, kind in holes if v >= outer]   # the inner holes
+    by_block = [None] * streamed + list(zip(*product(*inner[streamed:])))
+    full = [by_block[j] and list(map(itemgetter(kind), by_block[j])) for j, kind in cut]
+    heads = max(1, _BATCH_CHARS // ((len(template) + chars) * per))   # streamed views per batch
     number = 0
-    for views, lasts in expansion.groups(texts):
-        row = [*views, ("\0", "\0")]   # the last block's holes: where the text is cut
-        a, b, c = (template % tuple([row[v][kind] for v, kind in holes])).split("\0")
-        for values, indices in lasts:
-            number += 1
-            write(f"solution: {number}{a}{values}{b}{indices}{c}")
-
-
-def _emit_layout(out: _Output, i: int, lines: list, records: list | None):
-    """Print one layout, or add its JSON record to ``records`` under ``--json``."""
-    if out.as_json:
-        records.append(dict(zip(_LINE_NAMES, lines)))
-    else:
-        out.line(f"solution: {i}\npiA: {lines[0]}\npiB: {lines[1]}"
-                 f"\npaIdx: {lines[2]}\npbIdx: {lines[3]}")
+    for views, size in runs:
+        row = [*views, *repeat(("\0", "\0"), len(inner))]   # inner holes: where the text is cut
+        pieces = (f"solution: \0{template}" % tuple([row[v][kind] for v, kind in holes])).split("\0")
+        for lo in range(0, size, per * heads):
+            columns = full
+            if streamed:   # each streamed text for per layouts, the later blocks' product for each
+                batch = list(islice(inner[0], heads))
+                columns = [column * len(batch) if column else
+                           chain.from_iterable(map(repeat, map(itemgetter(kind), batch), repeat(per)))
+                           for column, (_j, kind) in zip(full, cut)]
+            numbers = map(str, range(number + lo + 1, number + min(size, lo + per * heads) + 1))
+            slots = [*chain.from_iterable(zip(map(repeat, pieces), [numbers, *columns])), repeat(pieces[-1])]
+            for record in map("".join, zip(*slots)):   # a piece before each number and text
+                write(record)
+        number += size
 
 
 def _violation_json(v, graph) -> dict | None:
@@ -350,7 +369,11 @@ def cmd_oracle(args, out: _Output) -> int:
         tokens = _layout_tokens(inst, np.array(sol.pi_a, dtype=np.int64),
                                 np.array(sol.pi_b, dtype=np.int64),
                                 np.array(sol.c_values()) if out.as_json else None)
-        _emit_layout(out, i, [fmt(line.tolist()) for line in tokens], payload)
+        lines = [fmt(line.tolist()) for line in tokens]
+        if out.as_json:
+            payload.append(dict(zip(_LINE_NAMES, lines)))
+        else:
+            out.line("\n".join([f"solution: {i}", *map("{}: {}".format, _LINE_NAMES, lines)]))
     out.payload = {"solutions": payload}
     out.emit_json()
     return int(ExitStatus.OK if solutions else ExitStatus.NO_SOLUTION)

@@ -14,8 +14,8 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product, repeat
-from typing import Iterable, Iterator
+from itertools import islice, product, repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .instance import (
 
 DEFAULT_MAX_ASSIGNMENTS = 10_080  # 7! * 2
 DEFAULT_MAX_EXPANSIONS = 10_000
+GROUP_LAYOUTS = 64  # fewest layouts per run of FamilyExpansion.groups, where blocks allow
 
 
 class NotConsecutiveError(ValueError):
@@ -319,25 +320,34 @@ class FamilyExpansion:
             members[np.argsort(values, kind="stable")] = canonical
             yield members
 
-    def groups(self, view) -> Iterator[tuple[list, Iterable]]:
+    def groups(self, view) -> tuple[list, Iterator[tuple[list, int]]]:
         """The first ``len()`` layouts, two or more, by ``view(k, members)``
-        of the varying blocks' orders: per combination of orders of all
-        of them but the last, their views and the last one's views, one
-        per layout.  The first varying block's views are made as they are
-        reached; those of the later ones, which every combination
-        revisits, once each."""
+        of the varying blocks' orders, as ``(inner, runs)``.  The inner
+        blocks are the last varying ones, as few as give ``GROUP_LAYOUTS``
+        layouts per run where they can; ``inner`` holds their views, a
+        list per block, but a stream for the first varying block, whose
+        views are made as they are reached.  Per combination of the outer
+        blocks' orders, ``runs`` yields their views and the run's length,
+        that many of the product of ``inner``, the last block fastest."""
         first, *later = (map(view, repeat(k), self.orders(k)) for k in self.varying)
-        if not later:
-            yield [], first
-            return
-        *middle, last = map(list, later)
-        left = len(self)
-        for head in first:
-            for rest in product(*middle):
-                yield [head, *rest], last[:left]
-                left -= len(last)
-                if left <= 0:
-                    return
+        counts = list(self.varying.values())
+        cut, size = len(counts), 1   # inner: the varying blocks from cut on
+        while cut and size < GROUP_LAYOUTS:
+            cut -= 1
+            size *= counts[cut]
+        later = list(map(list, later))
+        if not cut:   # one run takes every layout
+            return [first, *later], iter([([], len(self))])
+
+        def runs():
+            left = len(self)
+            for head in first:
+                for rest in product(*later[:cut - 1]):
+                    yield [head, *rest], min(size, left)
+                    left -= size
+                    if left <= 0:
+                        return
+        return later[cut - 1:], runs()
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         fam = self.family
@@ -353,11 +363,15 @@ class FamilyExpansion:
             layout[s:e] = members
             pis[w][at[k]:at[k] + e - s] = owners[w][members]
 
-        for outer, lasts in self.groups(lambda k, members: (k, members)):
+        inner, runs = self.groups(lambda k, members: (k, members))
+        for outer, size in runs:
             for k, members in outer:
                 place(k, members)
-            for k, members in lasts:
-                place(k, members)
+            combos = product(*inner) if outer else (   # no outer block: inner[0] streams
+                (head, *rest) for head in inner[0] for rest in product(*inner[1:]))
+            for views in islice(combos, size):
+                for k, members in views:
+                    place(k, members)
                 yield pis[0].copy(), pis[1].copy(), layout.copy()
 
 

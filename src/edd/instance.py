@@ -525,16 +525,29 @@ def _grouped(values: np.ndarray, owner: np.ndarray, count: int):
     return values, owner, np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=count))))
 
 
+_LINE_CODES = np.array([" %d", "\nAB %d", "\nBA %d"], dtype=object)   # a value, a line head
+
+
 def serialize_instance(inst: EddInstance) -> str:
-    """Render the canonical text form; round-trips through parse_instance."""
+    """Render the canonical text form; round-trips through parse_instance.
+
+    The document is one template with a ``%d`` per value and per AB/BA
+    line number, filled by one ``%``: no ``str`` object per value."""
     fa, _, offa, fb, _, offb = inst._flats()
     a, b = inst._length_arrays()
-    lines = ["EDD 1", "A " + " ".join(map(str, a.tolist())), "B " + " ".join(map(str, b.tolist()))]
-    for kind, values, offsets in (("AB", fa, offa), ("BA", fb, offb)):
-        tokens, offs = list(map(str, values.tolist())), offsets.tolist()
-        lines += [" ".join((kind, str(i), *tokens[s:e]))
-                  for i, (s, e) in enumerate(zip(offs, offs[1:]), start=1)]
-    return "\n".join(lines) + "\n"
+    template = ["EDD 1\nA " + " ".join(["%d"] * len(a)), "\nB " + " ".join(["%d"] * len(b))]
+    values = [a, b]
+    for kind, flat, offsets in ((1, fa, offa), (2, fb, offb)):
+        lines = len(offsets) - 1
+        heads = offsets[:-1] + np.arange(lines)   # each line's number goes before its values
+        code = np.zeros(len(flat) + lines, dtype=np.intp)
+        code[heads] = kind
+        doc = np.empty(len(code), dtype=np.int64)
+        doc[heads] = np.arange(1, lines + 1)
+        doc[code == 0] = flat
+        template += _LINE_CODES[code].tolist()
+        values.append(doc)
+    return ("".join(template) + "\n") % tuple(np.concatenate(values).tolist())
 
 
 # --- consistency -----------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice, product, repeat
 from typing import Iterator
@@ -271,6 +270,27 @@ def _next_permutation(arr: list[int]) -> None:
     arr[i + 1:] = reversed(arr[i + 1:])
 
 
+def _order_count(values: np.ndarray, past: int) -> int:
+    """The distinct orders of ``values``, k! / prod(m_v!) for k values
+    with multiplicities m_v, or some number above ``past`` that is at
+    most that.
+
+    The count is the multinomial of the values taken so far, the most
+    frequent value first: the t-th copy of a value, as the s-th value
+    taken, multiplies it by s / t, which is at least 2 after the first
+    value.  So about log2(past) steps reach ``past``, and no number much
+    larger than it is built."""
+    copies = np.sort(np.unique(values, return_counts=True)[1])[::-1]
+    count, taken = 1, int(copies[0])
+    for m in copies[1:].tolist():
+        for t in range(1, m + 1):
+            taken += 1
+            count = count * taken // t
+            if count > past:
+                return count
+    return count
+
+
 class FamilyExpansion:
     """A family's distinct layouts, at most ``max_expansions`` of them:
     the product of its blocks' distinct orders, the last block fastest,
@@ -278,11 +298,12 @@ class FamilyExpansion:
 
     A block of k values with multiplicities m_v has k! / prod(m_v!)
     orders, so ``len()``, ``truncated`` and ``varying`` are known before
-    iteration.  ``varying`` maps each block that the first ``len()``
-    layouts take through two or more orders to that number, in block
-    order; every other block keeps its canonical order.  Iterating gives
-    each layout as fresh int64 arrays (pi_a, pi_b, c_order), ``c_order``
-    indexing ``family.labeled``.
+    iteration; each is counted only until the product passes the cap.
+    ``varying`` maps each block that the first ``len()`` layouts take
+    through two or more orders to that number, in block order; every
+    other block keeps its canonical order.  Iterating gives each layout
+    as fresh int64 arrays (pi_a, pi_b, c_order), ``c_order`` indexing
+    ``family.labeled``.
     """
 
     def __init__(self, family: SolutionFamily, max_expansions: int):
@@ -290,8 +311,9 @@ class FamilyExpansion:
         starts, ends, values = family.block_starts, family.block_ends, family.labeled.values
         orders, count = {}, 1   # block -> its orders, from the last back until past the cap
         for k in range(len(starts) - 1, -1, -1):
-            m = Counter(values[family.order[starts[k]:ends[k]]].tolist())
-            orders[k] = math.factorial(m.total()) // math.prod(map(math.factorial, m.values()))
+            # past the cap, a lower bound that passes it gives the same len() and varying
+            orders[k] = _order_count(values[family.order[starts[k]:ends[k]]],
+                                     max_expansions // count)
             count *= orders[k]
             if count > max_expansions:
                 break

@@ -54,8 +54,13 @@ class OracleCapExceeded(RuntimeError):
 
 
 def _is_permutation(idx: np.ndarray, count: int) -> bool:
-    """True when ``idx`` holds each of 0..count-1 exactly once."""
-    return idx.shape == (count,) and bool((np.sort(idx) == np.arange(count)).all())
+    """True when ``idx`` holds each of 0..count-1 exactly once: a range
+    check and one count per index, in linear time."""
+    if idx.shape != (count,) or not count:
+        return idx.shape == (count,)
+    if idx.min() < 0 or idx.max() >= count:
+        return False
+    return bool((np.bincount(idx.astype(np.intp, copy=False), minlength=count) == 1).all())
 
 
 def _check_permutation(seq, count, name) -> np.ndarray:
@@ -73,9 +78,9 @@ def _cut_arrays(pa, pb, inst: EddInstance):
     from ``bounds[k]`` to ``bounds[k + 1]``, lies in A-fragment
     ``a_index[k]`` and B-fragment ``b_index[k]``.  Positions are exact
     Python ints in object arrays when a digest's total passes int64.
+    ``pa`` and ``pb`` are known to be permutations.
     """
-    pa = _check_permutation(pa, inst.p, "pa")
-    pb = _check_permutation(pb, inst.q, "pb")
+    pa, pb = np.asarray(pa), np.asarray(pb)
     a_len, b_len = inst._length_arrays()
     a, b = a_len[pa], b_len[pb]
     a_prefix, b_prefix = np.cumsum(a), np.cumsum(b)
@@ -128,7 +133,7 @@ class VerifyResult:
         return self.ok
 
 
-def verify_permutation(inst: EddInstance, pa, pb) -> VerifyResult:
+def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> VerifyResult:
     """Decide whether (pa, pb) is a valid layout of the instance.
 
     Valid means: the overlap pieces reproduce the multiset C, and the
@@ -142,8 +147,11 @@ def verify_permutation(inst: EddInstance, pa, pb) -> VerifyResult:
     one sort of (owner, length rank) keys lines the pieces up against
     the flats of both sides.  Positions are exact Python ints when a
     digest's total passes int64.  Raises ValueError when pa or pb is not
-    a permutation.
+    a permutation; ``checked`` says that they are int64 arrays already
+    known to be permutations, so that they are not checked again.
     """
+    if not checked:
+        pa, pb = _check_permutation(pa, inst.p, "pa"), _check_permutation(pb, inst.q, "pb")
     try:
         _, _, bounds, a_index, b_index = _cut_arrays(pa, pb, inst)
     except LayoutError as err:

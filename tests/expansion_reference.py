@@ -3,8 +3,9 @@ before it streamed layouts from the family's block structure, kept as
 the reference for the equivalence tests: `induced_permutation` groups a
 C-ordering into its Solution, `reference_expand_family` holds every
 layout as one, `reference_solution_lines` formats one from its
-Solution, and `reference_cmd_solve` is the `solve` command built on
-them."""
+Solution, `reference_family_notation` writes a family in the bracket
+notation token by token, and `reference_cmd_solve` is the `solve`
+command built on them."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from edd.cli import (
     ExitStatus,
-    _family_notation,
     _family_slots,
     _load_instance,
     _Output,
@@ -126,6 +126,16 @@ def reference_expand_family(fam: SolutionFamily,
     return ReferenceExpansion(tuple(solutions), True)
 
 
+def reference_family_notation(fam: SolutionFamily, values: list) -> str:
+    """Fixed values as they are, each block's values in brackets, one
+    ``str`` per value and the brackets added per block span."""
+    tokens = list(map(str, values))
+    for s, e in zip(fam.block_starts.tolist(), fam.block_ends.tolist()):
+        tokens[s] = "[" + tokens[s]
+        tokens[e - 1] += "]"
+    return " ".join(tokens)
+
+
 def reference_solution_lines(out: _Output, inst: EddInstance, sol) -> dict | None:
     """Print one layout, or return its JSON record under ``--json``."""
     a_values, b_values = sol.a_values(inst), sol.b_values(inst)
@@ -189,7 +199,7 @@ def reference_cmd_solve(args, out: _Output) -> int:
         out.line(f"assignment: {aid}")
         values = fam.c_value_array().tolist() if args.emit_families or out.as_json else None
         if args.emit_families:
-            out.line(f"family: {_family_notation(fam, values)}")
+            out.line(f"family: {reference_family_notation(fam, values)}")
         info: dict = {}
         if out.as_json:
             count, digits = fam.expansion_count, sys.get_int_max_str_digits()

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -215,6 +216,24 @@ def test_verify_orders_file(capsys, demo_file, tmp_path):
     orders.write_text("PA 1 2 3 4 5\nPB 1 2 3\n")
     code, out = run(capsys, "verify", demo_file, "--orders", str(orders))
     assert code == 1 and out.startswith("invalid:")
+
+
+def test_verify_checks_each_order_once(capsys, demo_file, tmp_path, monkeypatch):
+    from edd import verifier
+    checked, real = [], verifier._is_permutation
+
+    def counting(idx, count):
+        checked.append(count)
+        return real(idx, count)
+
+    monkeypatch.setattr(verifier, "_is_permutation", counting)
+    monkeypatch.setattr(cli, "_is_permutation", counting)
+    orders = tmp_path / "orders.txt"
+    orders.write_text("PA 1 2 3 5 4\nPB 1 2 3\n")
+    for argv in (["--pa", "1 2 3 5 4", "--pb", "1 2 3"], ["--orders", str(orders)]):
+        checked.clear()
+        assert run(capsys, "verify", demo_file, *argv) == (0, "valid\n")
+        assert checked == [5, 3]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -482,6 +501,21 @@ def test_solve_json_huge_expansion_count(capsys, tmp_path):
         assert fam["expansionCount"] == exact
         assert fam["expansionCountLog10"] == pytest.approx(
             math.lgamma(pieces + 1) / math.log(10))
+
+
+def test_json_count_past_the_digit_limit_is_never_built(monkeypatch):
+    # 200,000! has about 973,000 digits: the log decides, and no count is made
+    class Family:
+        @property
+        def expansion_count(self):
+            raise AssertionError("built an exact count past the digit limit")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)   # the default
+    log10 = math.lgamma(200_001) / math.log(10)
+    assert cli._printable_count(Family(), log10) is None
+    star = SimpleNamespace(expansion_count=math.factorial(1700))
+    assert cli._printable_count(star, math.lgamma(1701) / math.log(10)) is None
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)   # no limit: always exact
+    assert cli._printable_count(star, math.lgamma(1701) / math.log(10)) == math.factorial(1700)
 
 
 def test_solve_all_equal_leaf_star_prints_one_layout(tmp_path):

@@ -7,7 +7,9 @@ import functools
 import io
 import random
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import expansion_reference
@@ -16,7 +18,7 @@ from edd.generator import InfeasibleParams, random_instance
 from edd.instance import EddInstance, serialize_instance
 from edd.solver import solve
 
-from expansion_reference import reference_cmd_solve
+from expansion_reference import reference_cmd_solve, reference_family_notation
 
 FLAG_SETS = (
     ["--all"],
@@ -154,6 +156,50 @@ def test_runs_and_batches_match_eager_reference(tmp_path, monkeypatch, runs, gro
     path = layout_cut_map(tmp_path, 3, False, runs=runs)
     assert_same_output(path, [[*json, "--all", "--max-solutions", cap]
                               for cap in ("127", "3001") for json in ([], ["--json"])])
+
+
+def test_text_kernel_matches_str_join():
+    rng = np.random.default_rng(17)
+    for size in (0, 1, 2, 3, 5, 1000, 20_000):
+        values = rng.integers(1, 2**63 - 1, size=size, dtype=np.int64, endpoint=True)
+        values >>= rng.integers(0, 63, size=size)   # every digit count from 1 to 19
+        values[:2] = [1, 2**63 - 1][:size]
+        for given in (values.tolist(), tuple(values.tolist())):
+            assert cli._text(given) == " ".join(map(str, given))
+    assert cli._text(range(7, 12)) == "7 8 9 10 11"
+
+
+NOTATION_SPANS = {
+    "no block": (4, []),
+    "one value": (1, []),
+    "a block at position 0": (5, [(0, 2)]),
+    "a block at the end": (5, [(3, 5)]),
+    "two adjacent blocks": (7, [(1, 3), (3, 6)]),
+    "blocks side by side over all": (6, [(0, 2), (2, 4), (4, 6)]),
+    "one block over all": (4, [(0, 4)]),
+    "a one-value block": (3, [(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", NOTATION_SPANS)
+def test_family_notation_matches_token_reference(case):
+    size, spans = NOTATION_SPANS[case]
+    rng = random.Random(size)
+    values = ([1, 2**63 - 1] + [rng.randrange(1, 10**rng.randint(1, 18)) for _ in range(size)])[:size]
+    fam = SimpleNamespace(block_starts=np.array([s for s, _e in spans], dtype=np.int64),
+                          block_ends=np.array([e for _s, e in spans], dtype=np.int64))
+    assert cli._family_notation(fam, values) == reference_family_notation(fam, values)
+
+
+def test_star_map_notation_matches_eager_reference(tmp_path):
+    # one block spanning the whole family
+    leaves = (2**63 - 1 - 2**62, 1, *range(2, 12))
+    path = tmp_path / "star.edd"
+    path.write_text(serialize_instance(
+        EddInstance((sum(leaves),), leaves, (leaves,), tuple((v,) for v in leaves))))
+    outs = assert_same_output(path, [["--emit-families"], ["--json", "--emit-families"],
+                                     ["--all", "--emit-families", "--max-solutions", "7"]])
+    assert f"family: [1 2 3 4 5 6 7 8 9 10 11 {leaves[0]}]" in outs[0][1]
 
 
 def test_each_reached_block_order_is_made_once(tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
+import math
+import random
 import tracemalloc
+from collections import Counter
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from edd.instance import (
     serialize_instance,
 )
 from edd.solver import (
+    FamilyExpansion,
     NoSolution,
     NotConsecutiveError,
     Solution,
@@ -22,6 +27,7 @@ from edd.solver import (
     _assemble,
     _dedupe_runs,
     _lex_less,
+    _order_count,
     canonical_key,
     canonicalize_solution,
     dangler_first_search,
@@ -225,6 +231,58 @@ def test_expansion_length_known_before_iteration():
     for cap, truncated in ((12, False), (11, True)):
         exp = expand_family(two, max_expansions=cap)
         assert (len(exp), exp.truncated, len(list(exp))) == (cap, truncated, cap)
+
+
+def _exact_expansion(blocks: list, cap: int) -> tuple:
+    """len(), truncated and varying of a family with these block values,
+    from every block's exact k! / prod(m_v!)."""
+    orders = [math.factorial(len(b)) // math.prod(map(math.factorial, Counter(b).values()))
+              for b in blocks]
+    size = min(math.prod(orders), cap)
+    varying, after = {}, 1
+    for k in range(len(blocks) - 1, -1, -1):
+        if orders[k] > 1 and size > after:
+            varying[k] = min(orders[k], -(-size // after))
+        after *= orders[k]
+    return size, math.prod(orders) > cap, dict(sorted(varying.items()))
+
+
+def _fake_family(blocks: list, fixed: int) -> SimpleNamespace:
+    """What FamilyExpansion.__init__ reads of a family: each block's
+    values, ascending, after ``fixed`` fixed values."""
+    values = np.array([0] * fixed + [v for b in blocks for v in sorted(b)], dtype=np.int64)
+    ends = fixed + np.cumsum([len(b) for b in blocks], dtype=np.int64)
+    return SimpleNamespace(block_starts=ends - [len(b) for b in blocks], block_ends=ends,
+                           order=np.arange(len(values)), labeled=SimpleNamespace(values=values))
+
+
+def test_expansion_counts_match_exact_orders_at_every_cap():
+    rng = random.Random(17)
+    for _ in range(300):
+        blocks = [[rng.randint(1, rng.randint(1, 6)) for _ in range(rng.randint(1, 9))]
+                  for _ in range(rng.randint(1, 4))]
+        for cap in (0, 1, 2, 5, 64, 1000, 10**6, 10**12):
+            exp = FamilyExpansion(_fake_family(blocks, rng.randint(0, 3)), cap)
+            assert (len(exp), exp.truncated, exp.varying) == _exact_expansion(blocks, cap), \
+                (blocks, cap)
+
+
+def test_expansion_counts_orders_only_up_to_the_cap(monkeypatch):
+    # one block of 200,000 distinct leaves: 200,000! orders, counted
+    # only until past the cap; the exact count alone takes half a second
+    leaves = tuple(range(1, 200_001))
+    inst = EddInstance((sum(leaves),), leaves, (leaves,), tuple((v,) for v in leaves))
+    (_aid, fam), = solve(inst)
+    built = []
+    monkeypatch.setattr(math, "factorial", lambda n: built.append(n))
+    monkeypatch.setattr(math, "comb", lambda n, k: built.append((n, k)))
+    for cap, varying in ((1, {}), (10**6, {0: 10**6})):
+        exp = expand_family(fam, max_expansions=cap)
+        assert (len(exp), exp.truncated, exp.varying) == (cap, True, varying)
+    assert built == []
+    for past in (0, 1, 10**4, 10**18):
+        count = _order_count(np.array(leaves), past)
+        assert past < count <= max(past, 1) * len(leaves)
 
 
 def _expansion_peak(fam, cap: int) -> int:

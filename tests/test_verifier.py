@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from edd.instance import EddInstance
@@ -7,6 +8,7 @@ from edd.verifier import (
     COINCIDENT_CUT,
     SUM_MISMATCH,
     OracleCapExceeded,
+    _is_permutation,
     brute_force_solve,
     verify_permutation,
 )
@@ -24,6 +26,20 @@ def test_verify_rejects_non_permutation():
     inst = demo_instance()
     with pytest.raises(ValueError):
         verify_permutation(inst, (0, 0, 2, 4, 3), (0, 1, 2))
+
+
+def test_linear_permutation_check_matches_sorting():
+    rng = np.random.default_rng(17)
+    for count in (0, 1, 2, 5, 64):
+        base = rng.permutation(count)
+        cases = [base, base[:-1], np.append(base, 0), base + 1, base - 1, base[::-1],
+                 base.astype(np.uint64), base.reshape(1, -1)]
+        if count > 1:
+            cases += [np.where(base == 0, 1, base), np.where(base == count - 1, -1, base),
+                      np.where(base == 0, count, base), np.where(base == 1, 2**63 - 1, base)]
+        for idx in cases:
+            want = idx.shape == (count,) and sorted(idx.tolist()) == list(range(count))
+            assert _is_permutation(idx, count) == want, (idx, count)
 
 
 def test_verify_demo_solution():

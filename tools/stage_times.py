@@ -28,12 +28,14 @@ is measured in two child processes:
   (``_labeling`` with identity matchings; it takes the plan's identity
   labeling and groups, or on a side from before the plan was a
   labeling, the instance and the whole plan), the structure screen
-  (``build_graph`` + ``check_structure``), ``dangler_first_search`` and
-  rendering the text of the first layout (``cli._write_layouts`` into a
-  sink that drops it, or on a side from before it, the four lines of
-  ``cli._family_layouts``); the last two only when the screen finds no
-  violation.  Each stage's time is the median of 5, 3 or 1 repetitions
-  at 10**4, 10**5 or 10**6 fragments, and of 5 on ``layouts``;
+  (``build_graph`` + ``check_structure``), ``dangler_first_search``, the
+  family's ``--emit-families`` line (its values as a list, then
+  ``cli._family_notation``) and rendering the text of the first layout
+  (``cli._write_layouts`` into a sink that drops it, or on a side from
+  before it, the four lines of ``cli._family_layouts``); the last three
+  only when the screen finds no violation.  Each stage's time is the
+  median of 5, 3 or 1 repetitions at 10**4, 10**5 or 10**6 fragments,
+  and of 5 on ``layouts``;
 - e2e: ``python -m edd solve MAP``, with ``--all`` on ``layouts``,
   stdout to ``/dev/null``, with its wall time, exit code and peak RSS
   (``os.wait4``).
@@ -62,7 +64,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 SIZES = {"1e4": 10**4, "1e5": 10**5, "1e6": 10**6}
 REPS = {"1e4": 5, "1e5": 3, "1e6": 1}
-STAGES = ("read", "parse", "validate", "plan", "label", "screen", "dangler", "render")
+STAGES = ("read", "parse", "validate", "plan", "label", "screen", "dangler", "notation", "render")
 
 STAGE_CODE = r'''
 import json, statistics, sys, time
@@ -96,6 +98,7 @@ for _ in range(reps):
     verdict = timed("screen", lambda: check_structure(g))
     if verdict.violation is None:
         fam = timed("dangler", lambda: dangler_first_search(g, verdict))
+        timed("notation", lambda: f"family: {cli._family_notation(fam, fam.c_value_array().tolist())}")
         if hasattr(cli, "_family_layouts"):   # a side from before _write_layouts
             timed("render", lambda: next(cli._family_layouts(inst, expand_family(fam, 1), False)))
         else:

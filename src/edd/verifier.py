@@ -91,14 +91,18 @@ def _cut_arrays(pa, pb, inst: EddInstance):
         raise SumMismatch(int(a_prefix[-1]), int(b_prefix[-1]))
     a_cuts, b_cuts = a_prefix[:-1], b_prefix[:-1]
     bounds = np.concatenate(([0], a_cuts, b_cuts, a_prefix[-1:]))
-    bounds.sort(kind="stable")
+    # two ascending runs, 0 and the A cuts, then the B cuts and the total:
+    # a stable argsort merges them in linear time
+    order = np.argsort(bounds, kind="stable")
+    bounds = bounds[order]
     # each digest's cuts rise strictly inside (0, total): a repeat is a shared cut
     shared = np.flatnonzero(bounds[1:] == bounds[:-1])
     if len(shared):
         raise CoincidentCut(int(bounds[shared[0]]))
-    starts = bounds[:-1]
-    a_index = pa[np.searchsorted(a_cuts, starts, side="right")]
-    b_index = pb[np.searchsorted(b_cuts, starts, side="right")]
+    # every piece but the first starts at a cut; count the A cuts up to each start
+    a_count = np.cumsum((order[:-1] >= 1) & (order[:-1] <= len(a_cuts)))
+    a_index = pa[a_count]
+    b_index = pb[np.arange(len(a_count)) - a_count]
     return a_prefix, b_prefix, bounds, a_index, b_index
 
 
@@ -142,13 +146,14 @@ def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> V
     digest totals, a coincident cut (the smallest), C, then the smallest
     mismatched AB_i, then the smallest mismatched BA_j.
 
-    The work is array-wide: prefix sums place the cuts, one sort merges
-    them into pieces, ``searchsorted`` finds each piece's owners, and
-    one sort of (owner, length rank) keys lines the pieces up against
-    the flats of both sides.  Positions are exact Python ints when a
-    digest's total passes int64.  Raises ValueError when pa or pb is not
-    a permutation; ``checked`` says that they are int64 arrays already
-    known to be permutations, so that they are not checked again.
+    The work is array-wide: prefix sums place the cuts, one stable
+    argsort merges them into pieces, a running count of the A cuts
+    among them gives each piece's owners, and one sort of (owner, length
+    rank) keys lines the pieces up against the flats of both sides.
+    Positions are exact Python ints when a digest's total passes int64.
+    Raises ValueError when pa or pb is not a permutation; ``checked``
+    says that they are int64 arrays already known to be permutations, so
+    that they are not checked again.
     """
     if not checked:
         pa, pb = _check_permutation(pa, inst.p, "pa"), _check_permutation(pb, inst.q, "pb")

@@ -1,7 +1,9 @@
 """Equivalence sweeps: the array parser and verifier against the
 pure-Python references in ``format_reference``."""
 
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import edd.instance as instance
 from edd.generator import random_instance
 from edd.instance import EddInstance, ParseError, parse_instance, serialize_instance
-from edd.verifier import _cut_arrays, verify_permutation
+from edd.verifier import CoincidentCut, SumMismatch, _cut_arrays, verify_permutation
 
 from conftest import DEMO_TEXT, demo_instance, multi_dup_instance
 from format_reference import reference_parse, reference_verify
@@ -244,6 +246,61 @@ def test_verifier_exact_beyond_int64():
         reference_verify(inst, (1, 0, 2), (0, 1, 2))
 
 
+def _searchsorted_cuts(pa, pb, inst):
+    """``_cut_arrays`` as it was read before the merge: a sort of the
+    bounds, then a binary search of each piece start in each digest's
+    cuts."""
+    pa, pb = np.asarray(pa), np.asarray(pb)
+    a, b = inst._a[pa], inst._b[pb]
+    a_prefix, b_prefix = np.cumsum(a), np.cumsum(b)
+    if a_prefix.min() < 0 or b_prefix.min() < 0:
+        a_prefix, b_prefix = np.cumsum(a.astype(object)), np.cumsum(b.astype(object))
+    if a_prefix[-1] != b_prefix[-1]:
+        return ("SumMismatch", int(a_prefix[-1]), int(b_prefix[-1]))
+    a_cuts, b_cuts = a_prefix[:-1], b_prefix[:-1]
+    bounds = np.sort(np.concatenate(([0], a_cuts, b_cuts, a_prefix[-1:])), kind="stable")
+    shared = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if len(shared):
+        return ("CoincidentCut", int(bounds[shared[0]]))
+    starts = bounds[:-1]
+    return (a_prefix, b_prefix, bounds, pa[np.searchsorted(a_cuts, starts, side="right")],
+            pb[np.searchsorted(b_cuts, starts, side="right")])
+
+
+def _cuts_outcome(pa, pb, inst):
+    try:
+        return _cut_arrays(pa, pb, inst)
+    except SumMismatch as err:
+        return ("SumMismatch", err.total_a, err.total_b)
+    except CoincidentCut as err:
+        return ("CoincidentCut", err.position)
+
+
+def test_cut_arrays_match_searchsorted_reading():
+    rng = random.Random(19)
+    cases = [random_instance(3, 10_001, 10_000, 4 * 10**17, duplicate_free=True)]
+    cases += [random_instance(seed, rng.randint(1, 9), rng.randint(1, 9),
+                              rng.choice([30, 10**6])) for seed in range(200)]
+    pairs = [(inst, truth.pi_a, truth.pi_b) for inst, truth in cases]
+    pairs += [(inst, tuple(rng.sample(range(inst.p), inst.p)),
+               tuple(rng.sample(range(inst.q), inst.q))) for inst, _ in cases[1:]]
+    pairs += [(_perturbed(rng, inst), truth.pi_a, truth.pi_b) for inst, truth in cases[1:51]]
+    pairs += [(inst, tuple(range(inst.p)), tuple(range(inst.q)))
+              for inst in (_big_instance(rng) for _ in range(40))]
+    kinds = set()
+    for inst, pa, pb in pairs:
+        want, got = _searchsorted_cuts(pa, pb, inst), _cuts_outcome(pa, pb, inst)
+        if isinstance(want[0], str):
+            assert got == want, (inst, pa, pb)
+            kinds.add(want[0])
+            continue
+        for mine, ref in zip(got, want):
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (inst, pa, pb)
+        kinds.add("object" if want[2].dtype == object else "int64")
+    # every outcome shows up, a total past int64 among them
+    assert kinds == {"SumMismatch", "CoincidentCut", "int64", "object"}, kinds
+
+
 def test_verifier_rejects_non_permutations():
     inst = multi_dup_instance()
     for pa in [(0, 0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3, 5), (0, 1, 2, 3, -1),
@@ -354,7 +411,7 @@ def test_normalised_documents_skip_the_exact_reader(monkeypatch):
 HEAD = "EDD 1\nA 3 4\nB 7\n"
 
 
-@pytest.mark.parametrize("text", [
+NEAR_PLAIN = [
     HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4\n",
     HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4 A\n",      # a letter as a token of its own
     HEAD + "AB 1 3\nAB 2 4A\nBA 1 3 4\n",       # a letter run into a number
@@ -384,7 +441,10 @@ HEAD = "EDD 1\nA 3 4\nB 7\n"
     "EDD 1\nA \nB 7\nAB 1 3\nAB 2 4\nBA 1 3 4\n",
     "EDD 1\nA 3 4\nB 7\nA 3 4\nAB 1 3\nAB 2 4\nBA 1 3 4\n",
     "EDD 1\n", "EDD 1\nA 5\n", "EDD 1\nA 5\nB 5\nAB 1 5\nBA 1 5\nAB",
-])
+]
+
+
+@pytest.mark.parametrize("text", NEAR_PLAIN)
 def test_near_plain_documents_match_reference(text):
     got, want = _parse_outcome(parse_instance, text), _parse_outcome(reference_parse, text)
     assert got == want
@@ -404,3 +464,126 @@ def test_short_read_falls_back_to_exact_parse(monkeypatch):
     monkeypatch.setattr(np, "fromstring", short)
     text = HEAD + "AB 1 3\nAB 2 4\nBA 1 3 4\n"
     assert parse_instance(text) == reference_parse(text)
+
+
+# --- the two-part read ------------------------------------------------------
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """Every document is cut in two, on a machine with two CPUs."""
+    monkeypatch.setattr(instance, "_TWO_PARTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_byte_sweep_in_two_parts(monkeypatch, two_parts):
+    test_byte_sweep_matches_reference(monkeypatch)
+
+
+def test_mutated_documents_in_two_parts(two_parts):
+    test_parser_matches_reference_on_mutated_documents()
+
+
+@pytest.mark.parametrize("text", NEAR_PLAIN)
+def test_near_plain_documents_in_two_parts(text, two_parts):
+    test_near_plain_documents_match_reference(text)
+
+
+def test_short_read_in_two_parts(monkeypatch, two_parts):
+    test_short_read_falls_back_to_exact_parse(monkeypatch)
+
+
+def test_serialized_documents_in_two_parts(monkeypatch, two_parts):
+    test_serialized_documents_skip_the_line_loop(monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    "EDD 1\nA 2 1\nB 3\nAB 1 2 1\nAB 2 1\nBA 1 1 2 1\n",
+    "EDD 1\nA 1\nB 1\nAB 1 1\nBA 1 1",
+    "EDD 1\nA 1\nB 1\nAB\nAB 1 1\nBA 1 1\n",
+    "EDD 1\nA 1\nB\nB 1\nAB 1 1\nBA 1 1\n",
+    "EDD 1\nA 1\n\nB 1\nAB 1 1\n\nBA 1 1\n",
+    "EDD 1\nA 1\nB 1\nAB 1 1\nBA 1 1\nA",
+])
+def test_every_cut_reads_as_one_part(text):
+    """With the cut on each newline in turn, next to lines of zero to
+    two bytes among them, the two parts read what one part reads."""
+    [one] = instance._read_parts(text, -1)
+    for cut in [k for k, c in enumerate(text) if c == "\n"]:
+        parts = instance._read_parts(text, cut)
+        if one is None:
+            assert None in parts, cut
+            continue
+        assert None not in parts, cut
+        for got, want in zip((np.concatenate(column) for column in zip(*parts)), one):
+            assert np.array_equal(got, want), cut
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.fixture(scope="module")
+def big_text():
+    """A 1 MB document, as large as the big-map benchmark's."""
+    return serialize_instance(random_instance(4, 10_001, 10_000, 4 * 10**17,
+                                              duplicate_free=True)[0])
+
+
+def test_large_document_starts_one_thread(monkeypatch, started, big_text):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert len(big_text) >= instance._TWO_PARTS
+    before = threading.active_count()
+    parse_instance(big_text)
+    assert len(started) == 1 and threading.active_count() == before
+    parse_instance(DEMO_TEXT)
+    assert len(started) == 1 and threading.active_count() == before
+
+
+def test_one_cpu_starts_no_thread(monkeypatch, started, big_text):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    parse_instance(big_text)
+    assert started == []
+
+
+def test_worker_error_reaches_the_caller(monkeypatch, started, big_text):
+    """A MemoryError in the thread that reads the second part is raised
+    by parse_instance, after the thread is joined."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    full = np.fromstring
+
+    def second_part_fails(text, dtype, sep):
+        if text[0] == ord("\n"):   # only the second part starts at a newline
+            raise MemoryError
+        return full(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", second_part_fails)
+    before = threading.active_count()
+    with pytest.raises(MemoryError):
+        parse_instance(big_text)
+    assert len(started) == 1 and threading.active_count() == before
+
+
+def test_first_part_error_joins_the_worker(monkeypatch, big_text):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    full = np.fromstring
+
+    def first_part_fails(text, dtype, sep):
+        if text[0] != ord("\n"):
+            raise MemoryError
+        return full(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", first_part_fails)
+    before = threading.active_count()
+    with pytest.raises(MemoryError):
+        parse_instance(big_text)
+    assert threading.active_count() == before

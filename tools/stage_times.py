@@ -18,10 +18,11 @@ maps, written there by this checkout's generator:
 
 for N = 10**4, 10**5 and 10**6 fragments, and ``layouts``, the
 27-fragment map ``perfbench/workloads.layout_map(7, 0)`` of the
-all-layouts cut pattern, with 8,640 distinct layouts.  Each of three runs measures
-each map on both sides, the parent first in runs 1 and 3 and the change
-first in run 2, since the core speed of a shared machine drifts.  A side
-is measured in two child processes:
+all-layouts cut pattern, with 8,640 distinct layouts.  Each of five
+runs measures each map on both sides, the parent first in runs 1, 3
+and 5 and the change first in runs 2 and 4, since the core speed of a
+shared machine drifts; each stage and e2e row keeps its runs, their
+median and their min.  A side is measured in two child processes:
 
 - stages, all in one process: read the file, ``parse_instance``,
   ``validate_consistency``, ``_labeling_plan``, the first labeling
@@ -61,7 +62,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-RUNS = 3
+RUNS = 5
 SIZES = {"1e4": 10**4, "1e5": 10**5, "1e6": 10**6}
 REPS = {"1e4": 5, "1e5": 3, "1e6": 1}
 STAGES = ("read", "parse", "validate", "plan", "label", "screen", "dangler", "notation", "render")
@@ -207,7 +208,7 @@ def measure(src: Path, stage_script: Path, path: Path, reps: int,
 
 
 def tabulate(raw: dict) -> dict:
-    """Per map, per stage and e2e row, each side's runs and median."""
+    """Per map, per stage and e2e row, each side's runs, median and min."""
     results = {}
     for name, by_side in raw.items():
         rows: dict = {}
@@ -216,13 +217,16 @@ def tabulate(raw: dict) -> dict:
                 runs = [round(stages[stage], 5) for stages, _ in measured if stage in stages]
                 if runs:
                     rows.setdefault(stage, {})[side] = {
-                        "runs": runs, "median": round(statistics.median(runs), 5)}
+                        "runs": runs, "median": round(statistics.median(runs), 5),
+                        "min": min(runs)}
         for side, measured in by_side.items():
             runs = [e2e for _, e2e in measured]
             rows.setdefault("e2e_solve", {})[side] = {"runs": runs, "median": {
                 "s": round(statistics.median(r["s"] for r in runs), 4),
                 "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
-                "exit": sorted({r["exit"] for r in runs})}}
+                "exit": sorted({r["exit"] for r in runs})}, "min": {
+                "s": min(r["s"] for r in runs),
+                "peak_rss_mb": min(r["peak_rss_mb"] for r in runs)}}
         results[name] = rows
     return results
 
@@ -234,12 +238,16 @@ def summarize(results: dict) -> dict:
             if len(sides) < 2:
                 continue
             parent, change = sides["parent"]["median"], sides["change"]["median"]
+            parent_min, change_min = sides["parent"]["min"], sides["change"]["min"]
             if row == "e2e_solve":
                 summary[f"{name}.{row}"] = (
-                    f"{parent['s']} -> {change['s']} s, peak RSS {parent['peak_rss_mb']} -> "
-                    f"{change['peak_rss_mb']} MB, exit {parent['exit']} -> {change['exit']}")
+                    f"{parent['s']} -> {change['s']} s "
+                    f"(min {parent_min['s']} -> {change_min['s']}), "
+                    f"peak RSS {parent['peak_rss_mb']} -> {change['peak_rss_mb']} MB, "
+                    f"exit {parent['exit']} -> {change['exit']}")
             else:
-                summary[f"{name}.{row}"] = f"{parent} -> {change} s"
+                summary[f"{name}.{row}"] = (
+                    f"{parent} -> {change} s (min {parent_min} -> {change_min})")
     return summary
 
 

@@ -16,8 +16,11 @@ screens every graph size, on the stripped graph: the contracted graph
 without its leaves (about half the nodes of a solvable map), which has
 the same cycles and, unless an edge joins two leaves, the same
 connectivity.  An Euler tour of it, ranked by pointer jumping, gives
-connectivity and tree distances for the two-pass diameter, a leaf lying
-one step past its neighbour, and masks give the danglers.
+connectivity.  A tree passes when it is a caterpillar, the stripped
+graph a path, whose spine the tour reads in one pass; only a tree that
+is not, always DEEP_SUBTREE, takes the tour's distances for the
+two-pass diameter, a leaf lying one step past its neighbour, and masks
+for the witness.
 """
 
 from __future__ import annotations
@@ -156,16 +159,25 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     When it is not, the verdict describes A1's component: HAS_CYCLE with
     a cycle, which never passes through a leaf, when the component holds
     as many C-edges as nodes; NOT_CONNECTED with the smallest node
-    outside it when it is a tree itself.  On a tree the diameter is found
-    by two farthest-node passes from the smallest leaf, each breaking
-    ties toward the smallest node id.  Distances come from the stripped
-    tree, a leaf lying one step past its neighbour.  Every C-edge hanging
-    off the diameter must reach a leaf; the smallest one that does not is
-    the DEEP_SUBTREE witness.  A tree's verdict carries the diameter as
-    the spine, link and pendant arrays of ``_TreePayload``, the pendants
-    ordered by one sort of (spine position, rank) keys, the rank being
-    the labeling's (value, copy) order.  O(n log n) array work, with no
-    Python loop over nodes.
+    outside it when it is a tree itself.
+
+    A tree passes exactly when it is a caterpillar: when no stripped
+    node has three stripped neighbours, so the stripped tree is a path.
+    Its diameter is then that path with a leaf at each end, and every
+    other C-edge is a dangler.  The walk passes along the path from one
+    end to the other, which gives the spine and its links with no
+    distance pass; the pendants are all the leaf edges, at their
+    anchors' spine positions.  The spine is listed from the end the
+    two-pass diameter from the smallest leaf would list it from, each
+    pass taking the smallest farthest node: from the end farther from
+    the smallest leaf, or, when both ends are as far, from the end whose
+    smallest leaf is the larger.  Any other tree is DEEP_SUBTREE (a
+    stripped node lies off every longest path), and ``_deep_subtree``
+    names the witness and the payload by the distance passes.  A tree's
+    verdict carries the diameter as the spine, link and pendant arrays
+    of ``_TreePayload``, the pendants ordered by one sort of (spine
+    position, rank) keys, the rank being the labeling's (value, copy)
+    order.  O(n log n) array work, with no Python loop over nodes.
     """
     p, q, n = g.p, g.q, g.n
     if n == 1:
@@ -181,22 +193,70 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     for ends, other, at in ((u, w, at_u), (w, u, at_w)):
         k = np.flatnonzero(at)
         anchor[ends[k]] = other[k]
-    inner = np.flatnonzero(~(at_u | at_w))   # the stripped graph's C-edges
+    leafy = at_u | at_w
+    inner = np.flatnonzero(~leafy)   # the stripped graph's C-edges
     m = len(inner)
     tail = np.concatenate((u[inner], w[inner]))
     head = np.concatenate((w[inner], u[inner]))
     root = int(anchor[0])
     walk = _face_walk(tail, root)
+    degree = np.bincount(tail, minlength=nn)   # stripped neighbours
     # without two-leaf edges the stripped graph has one more node than
     # edges, so it is a tree when the walk covers it and no node of it is bare
     if (at_u & at_w).any() or (m and (len(walk) < 2 * m or np.count_nonzero(
-            np.bincount(tail, minlength=nn)) < nn - np.count_nonzero(leaf))):
+            degree) < nn - np.count_nonzero(leaf))):
         return StructureVerdict(False, _off_tree_violation(g, walk, tail, head, inner, anchor,
                                                            root), None)
+    del tail, at_u, at_w
+    if degree.max() > 2:
+        depth_seq, first_at = _tour_places(walk, head, anchor)
+        del walk, head   # peak memory: the distances hold several node arrays
+        return _deep_subtree(g, depth_seq, first_at, leaf)
 
-    del tail, at_u, at_w, inner   # peak memory: the distances below hold several node arrays
-    depth_seq, first_at = _tour_places(walk, head, anchor)
+    if m:
+        # the walk's first arrival at an end of the path starts its one pass along it
+        start = int(np.argmax(degree[head[walk]] == 1))
+        window = walk[start:start + m + 1]
+        spine, links = head[window], inner[window[1:] % m]
+    else:   # a star: the stripped graph is its centre
+        spine, links = np.array([root], np.int64), inner
     del walk, head
+    place = np.empty(nn, np.int64)
+    place[spine] = np.arange(m + 1)
+    # start at the end farther from the smallest leaf; on a tie, at the
+    # end whose smallest leaf is the larger (the second diameter pass's end)
+    twice = 2 * int(place[anchor[np.argmax(leaf)]])   # twice the smallest leaf's place
+    if twice > m or (twice == m and _end_leaf(leaf, anchor, spine[0])
+                  < _end_leaf(leaf, anchor, spine[-1])):
+        spine, links = spine[::-1], links[::-1]
+        place[spine] = np.arange(m + 1)
+    pend_c = np.flatnonzero(leafy)
+    payload = _tree_payload(g, spine, links, pend_c, place[anchor[u[pend_c]]])
+    return StructureVerdict(True, None, payload)
+
+
+def _end_leaf(leaf: np.ndarray, anchor: np.ndarray, end: int) -> int:
+    """The smallest leaf hanging from ``end``."""
+    return int(np.argmax(leaf & (anchor == end)))
+
+
+def _tree_payload(g: DigestGraph, spine, links, pend_c, pend_pos) -> _TreePayload:
+    """The payload, its pendants sorted by (spine position, rank)."""
+    by_pos = np.argsort(pend_pos * g.n + g.labeled.rank[pend_c])
+    return _TreePayload(False, spine, links, pend_c[by_pos], pend_pos[by_pos])
+
+
+def _deep_subtree(g: DigestGraph, depth_seq, first_at, leaf) -> StructureVerdict:
+    """DEEP_SUBTREE on a tree that is no caterpillar, with its payload.
+
+    The diameter is found by two farthest-node passes from the smallest
+    leaf, each breaking ties toward the smallest node id.  Distances come
+    from the stripped tree's Euler tour, as ``_tour_places`` gives it, a
+    leaf lying one step past its neighbour.  The witness is the smallest
+    C-edge that hangs off the diameter and does not reach a leaf.
+    """
+    u = g.a_owners
+    w = g.b_owners + g.p
     depth_at = depth_seq[first_at] + leaf   # a leaf lies one deeper than its anchor
 
     def dist_from(x):
@@ -232,12 +292,9 @@ def check_structure(g: DigestGraph) -> StructureVerdict:
     # the two diameter terminals join the end blocks like any other pendant
     pend_c = np.concatenate((hanging[~deep], edges[[0, -1]]))
     pend_pos = np.concatenate((pos[att[~deep]], pos[path[[1, -2]]])) - 1
-    by_pos = np.argsort(pend_pos * n + g.labeled.rank[pend_c])
-    payload = _TreePayload(False, path[1:-1], edges[1:-1], pend_c[by_pos], pend_pos[by_pos])
-    violation = None
-    if deep.any():
-        violation = StructureViolation(DEEP_SUBTREE, (NodeRef("C", int(hanging[deep][0])),))
-    return StructureVerdict(True, violation, payload)
+    payload = _tree_payload(g, path[1:-1], edges[1:-1], pend_c, pend_pos)
+    return StructureVerdict(True, StructureViolation(
+        DEEP_SUBTREE, (NodeRef("C", int(hanging[deep][0])),)), payload)
 
 
 def _tour_places(walk: np.ndarray, head: np.ndarray, anchor: np.ndarray):
@@ -260,13 +317,17 @@ def _face_walk(tail: np.ndarray, root: int) -> np.ndarray:
     that follows, around that node, the reverse of the dart it came by.
 
     Of e edges, edge k gives dart k, from ``tail[k]`` to ``tail[e + k]``,
-    and dart e + k back; the darts around a node are in a fixed cyclic
-    order.  On a tree the walk is an Euler tour: each edge once in each
-    direction.  It is ranked by pointer jumping, in log2(2e) rounds.
+    and dart e + k back; the darts around a node are in dart-id order,
+    cyclically, so the walk, and the cycle a HAS_CYCLE witness reads off
+    it, do not depend on how a sort breaks ties.  That order is one
+    stable sort by tail, near-linear when the first half of ``tail`` is
+    ascending, as the A side's is.  On a tree the walk is an Euler tour:
+    each edge once in each direction.  It is ranked by pointer jumping,
+    in log2(2e) rounds.
     """
     m = len(tail)
     # work on slots: darts sorted by tail, so a node's darts are adjacent
-    by_tail = np.argsort(tail)
+    by_tail = np.argsort(tail, kind="stable")
     sorted_tail = tail[by_tail]
     s0 = int(np.searchsorted(sorted_tail, root))
     if s0 == m or sorted_tail[s0] != root:

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .instance import CPermutation, EddInstance
+from .instance import MAX_LENGTH, CPermutation, EddInstance
 from .solver import Solution, canonical_key, canonicalize_solution
 
 COINCIDENT_CUT = "COINCIDENT_CUT"
@@ -165,8 +165,13 @@ def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> V
     pieces = np.diff(bounds).astype(np.int64)
     fa, oa, _, fb, ob, _ = inst._flats()
     n = len(pieces)
-    by_length = np.argsort(pieces)
-    lengths = pieces[by_length]
+    if int(pieces.max()) < MAX_LENGTH // n:
+        # distinct (length, position) keys: a sort, not an argsort, orders them
+        keys = np.sort(pieces * n + np.arange(n))
+        by_length, lengths = keys % n, keys // n
+    else:
+        by_length = np.argsort(pieces)
+        lengths = pieces[by_length]
     if n != len(fa) or (lengths != np.sort(fa)).any():
         return VerifyResult(False, "piece multiset differs from C")
     rank = np.empty(n, dtype=np.int64)

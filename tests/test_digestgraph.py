@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 
 import edd
+import edd.digestgraph
 from edd.digestgraph import (
     DEEP_SUBTREE,
     HAS_CYCLE,
     NOT_CONNECTED,
     NodeRef,
     _contracted_ref,
+    _face_walk,
     build_graph,
     check_structure,
     export_edges,
 )
 from edd.instance import EddInstance, LabeledInstance, label_duplicates, validate_consistency
 from edd.generator import CutModel, instance_from_cuts, random_instance
+from edd.solver import dangler_first_search
 
 from structure_reference import reference_structure
 
@@ -256,6 +259,182 @@ def test_engine_tiny_star():
     # serve as the diameter's ends
     assert v.payload.spine.tolist() == [0]
     assert v.payload.pend_pos.tolist() == [0, 0, 0]
+
+
+def tree_instance(p, q, edges, values=None):
+    """The map whose contracted digest graph has the C-edges ``edges``,
+    0-based (A-fragment, B-fragment) pairs, with the given lengths
+    (1, 2, ... by default); each fragment is as long as its pieces."""
+    values = list(values or range(1, len(edges) + 1))
+    ab, ba = [[] for _ in range(p)], [[] for _ in range(q)]
+    for (a, b), v in zip(edges, values):
+        ab[a].append(v)
+        ba[b].append(v)
+    return EddInstance([sum(c) for c in ab], [sum(c) for c in ba], ab, ba)
+
+
+def random_tree_instance(rng, nodes):
+    """A random tree on ``nodes`` contracted nodes, its fragments numbered
+    and its distinct lengths dealt at random: each new node joins a node
+    of the other enzyme's kind."""
+    kinds = ["A", "B"]
+    edges = [(0, 0)]
+    for _ in range(nodes - 2):
+        a_side = rng.random() < 0.5
+        kinds.append("A" if a_side else "B")
+        ours = kinds.count("A" if a_side else "B") - 1
+        theirs = rng.randrange(kinds.count("B" if a_side else "A"))
+        edges.append((ours, theirs) if a_side else (theirs, ours))
+    p, q = kinds.count("A"), kinds.count("B")
+    a_ids, b_ids = rng.sample(range(p), p), rng.sample(range(q), q)
+    edges = [(a_ids[a], b_ids[b]) for a, b in edges]
+    return tree_instance(p, q, edges, rng.sample(range(1, 10 * nodes), len(edges)))
+
+
+# caterpillars: (name, p, q, edges, expected spine as fragment names)
+CATERPILLARS = (
+    # a single stripped edge A1-B1; the smallest leaf A2 hangs off B1 (stars, with
+    # no stripped edge, are in test_engine_tiny_star and _leaf_stripping_cases)
+    ("one_edge", 3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)], ["B1", "A1"]),
+    # path B1 A2 B2 A3; the smallest leaf A1 hangs off the end B1
+    ("leaf_at_end", 4, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (1, 2), (3, 1), (2, 3)],
+     ["B1", "A2", "B2", "A3"]),
+    # the smallest leaf A1 hangs off B3, the far end of the walk from B1
+    ("leaf_at_far_end", 4, 3, [(1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (3, 0)],
+     ["B3", "A3", "B2", "A2", "B1"]),
+    # path A2 B1 A3, A1 hanging off its middle: both ends lie two steps
+    # from A1, and the end whose smallest leaf is the larger comes first
+    ("middle_b2_at_a2", 3, 3, [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2)], ["A3", "B1", "A2"]),
+    ("middle_b2_at_a3", 3, 3, [(0, 0), (1, 0), (2, 0), (2, 1), (1, 2)], ["A2", "B1", "A3"]),
+    # the same tie on a longer path, A1 hanging off the middle node B2
+    ("middle_long", 5, 5, [(0, 1), (1, 0), (1, 1), (2, 1), (2, 2), (3, 0), (4, 2), (3, 3),
+                           (4, 4)], ["A5", "B3", "A3", "B2", "A2", "B1", "A4"]),
+)
+
+
+@pytest.mark.parametrize("case", CATERPILLARS, ids=[c[0] for c in CATERPILLARS])
+def test_caterpillar_edge_cases(case):
+    _, p, q, edges, spine = case
+    g = graph_of(tree_instance(p, q, edges))
+    assert_matches_reference(g)
+    v = check_structure(g)
+    assert v.violation is None
+    assert fragment_names(g, v.payload.spine) == spine
+
+
+def test_caterpillars_read_no_distances(monkeypatch):
+    """A solvable map's spine is read off the walk: the tour depths run
+    only to name a DEEP_SUBTREE witness."""
+    def refuse(*args):
+        raise AssertionError("distance pass on a caterpillar")
+
+    monkeypatch.setattr(edd.digestgraph, "_tour_places", refuse)
+    cases = _leaf_stripping_cases()
+    maps = [tree_instance(p, q, edges) for _, p, q, edges, _ in CATERPILLARS]
+    maps += [demo_instance(), dup_instance(), cases[0], *cases[2:6]]
+    maps += [random_instance(seed, 7, 9, 10**6)[0] for seed in range(20)]
+    for inst in maps:
+        verdicts = [check_structure(build_graph(lab)) for lab in label_duplicates(inst)]
+        assert any(v.violation is None for v in verdicts)
+    with pytest.raises(AssertionError, match="distance pass"):
+        check_structure(graph_of(deep_subtree_instance()))
+
+
+def test_engines_agree_on_duplicate_free_sweep():
+    rng = random.Random(20)
+    for seed in range(400):
+        inst, _ = random_instance(seed, rng.randint(2, 41), rng.randint(2, 41), 10**12,
+                                  duplicate_free=True)
+        g = graph_of(inst)
+        assert_matches_reference(g)
+        assert check_structure(g).violation is None
+
+
+# trees that are no caterpillar, each a DEEP_SUBTREE
+NON_CATERPILLARS = (
+    # a spider: three legs of two C-edges from B1
+    ("spider", 3, 4, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (2, 3)]),
+    # a path A1 B1 A2 B2 A3 with a two-edge branch B3 A4 off A2
+    ("broom", 4, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (1, 2), (3, 2)]),
+    # two branch points, B1 and B2, each with a deep branch
+    ("two_branches", 6, 5, [(0, 0), (1, 0), (1, 1), (2, 1), (3, 0), (3, 2), (4, 1), (4, 3),
+                            (5, 3), (2, 4)]),
+    # a complete binary tree of depth three from A1
+    ("binary", 5, 6, [(0, 0), (0, 1), (1, 0), (2, 0), (3, 1), (4, 1), (1, 2), (1, 3),
+                      (2, 4), (2, 5)]),
+    # a path B1 A2 B2 A3 B3, with leaves at its ends, and a two-edge tooth A5 B4 off B2
+    ("long_tooth", 5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 1), (4, 3)]),
+)
+
+
+@pytest.mark.parametrize("case", NON_CATERPILLARS, ids=[c[0] for c in NON_CATERPILLARS])
+def test_non_caterpillars_are_deep_subtrees(case):
+    _, p, q, edges = case
+    g = graph_of(tree_instance(p, q, edges))
+    assert_matches_reference(g)
+    assert check_structure(g).violation.kind == DEEP_SUBTREE
+
+
+def test_engines_agree_on_random_trees():
+    rng = random.Random(7)
+    kinds = []
+    for _ in range(300):
+        g = graph_of(random_tree_instance(rng, rng.randint(3, 30)))
+        assert_matches_reference(g)
+        v = check_structure(g)
+        kinds.append(v.violation.kind if v.violation else "ok")
+    assert kinds.count("ok") >= 30 and kinds.count(DEEP_SUBTREE) >= 30
+    assert set(kinds) == {"ok", DEEP_SUBTREE}
+
+
+def palindromic_maps():
+    """Maps laid out mirror-symmetrically, so that their pieces read the
+    same both ways along the line."""
+    yield instance_from_cuts(CutModel(20, (5, 15), (8, 12)))[0]
+    rng = random.Random(5)
+    for _ in range(12):
+        half = 1000
+        cuts = sorted(rng.sample(range(1, half), rng.randint(2, 6)))
+        a = [c for i, c in enumerate(cuts) if i % 2 == 0]
+        b = [c for i, c in enumerate(cuts) if i % 2 == 1]
+        # mirror each enzyme's cuts, with the middle cut on one side only
+        yield instance_from_cuts(CutModel(2 * half, tuple(a + [half] + [2 * half - c for c in a[::-1]]),
+                                          tuple(b + [2 * half - c for c in b[::-1]])))[0]
+
+
+def test_palindromes_keep_the_payload_orientation():
+    """When a family reads the same both ways, dangler_first_search keeps
+    the payload's reading: the arrays the CLI prints follow the spine's
+    orientation, which must be the reference's."""
+    ties = 0
+    for inst in palindromic_maps():
+        for lab in label_duplicates(inst):
+            g = build_graph(lab)
+            assert_matches_reference(g)
+            got, want = check_structure(g), reference_structure(g)
+            if got.violation is not None:
+                continue
+            fam, ref = dangler_first_search(g, got), dangler_first_search(g, want)
+            for name in ("order", "block_starts", "block_ends", "block_attach"):
+                assert np.array_equal(getattr(fam, name), getattr(ref, name)), name
+            values = fam.c_value_array()
+            ties += bool((values == values[::-1]).all())
+    assert ties >= 10
+
+
+def test_face_walk_turns_in_dart_order():
+    """Darts that share a tail are taken around it in dart-id order, also
+    past 16 of them, where numpy's default sort is no insertion sort."""
+    k = 40
+    # a star: spoke j is dart j, from node j + 1, and dart k + j back from the hub 0
+    tail = np.concatenate((np.arange(1, k + 1), np.zeros(k, np.int64)))
+    walk = _face_walk(tail, 0)
+    assert walk.tolist() == [d for j in range(k) for d in (k + j, j)]
+    # the same around a hub of 41 among other nodes, its darts scattered
+    rng = random.Random(3)
+    others = rng.sample(range(1, 10 * k), k)
+    tail = np.array(others + [0] * k, np.int64)
+    assert _face_walk(tail, 0)[::2].tolist() == list(range(k, 2 * k))
 
 
 def test_export_edges_golden():

@@ -36,10 +36,14 @@ median and their min.  A side is measured in two child processes:
   before it, the four lines of ``cli._family_layouts``); the last three
   only when the screen finds no violation.  Each stage's time is the
   median of 5, 3 or 1 repetitions at 10**4, 10**5 or 10**6 fragments,
-  and of 5 on ``layouts``;
+  and of 5 on ``layouts``.  Next to each time it keeps the minor page
+  faults the stage took (``ru_minflt`` before and after, the median
+  over the same repetitions): glibc gives freed heap back to the system
+  between calls, so a stage that allocates large temporaries faults
+  their pages in again on every call, in system time;
 - e2e: ``python -m edd solve MAP``, with ``--all`` on ``layouts``,
-  stdout to ``/dev/null``, with its wall time, exit code and peak RSS
-  (``os.wait4``).
+  stdout to ``/dev/null``, with its wall time, exit code, peak RSS and
+  minor page faults (``os.wait4``).
 
 The JSON report goes to stdout, progress lines to stderr.  The script
 takes no options.
@@ -68,7 +72,7 @@ REPS = {"1e4": 5, "1e5": 3, "1e6": 1}
 STAGES = ("read", "parse", "validate", "plan", "label", "screen", "dangler", "notation", "render")
 
 STAGE_CODE = r'''
-import json, statistics, sys, time
+import json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from edd import cli
 from edd.digestgraph import build_graph, check_structure
@@ -76,12 +80,14 @@ from edd.instance import _labeling, _labeling_plan, parse_instance, validate_con
 from edd.solver import dangler_first_search, expand_family
 
 path, reps = sys.argv[2], int(sys.argv[3])
-times = {}
+times, faults = {}, {}
 
 def timed(name, fn):
+    flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     out = fn()
     times.setdefault(name, []).append(time.perf_counter() - start)
+    faults.setdefault(name, []).append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
     return out
 
 for _ in range(reps):
@@ -105,7 +111,8 @@ for _ in range(reps):
         else:
             timed("render", lambda: cli._write_layouts(inst, expand_family(fam, 1), lambda text: None))
     del inst, plan, args, groups, lab, g, verdict
-print(json.dumps({name: statistics.median(ts) for name, ts in times.items()}))
+print(json.dumps({name: [statistics.median(ts), statistics.median(faults[name])]
+                  for name, ts in times.items()}))
 '''
 
 
@@ -182,8 +189,8 @@ def write_maps(into: Path) -> dict:
 
 
 def child(argv: list[str], src: Path, capture: bool) -> tuple[dict, str]:
-    """Run one child process on ``src``: its wall time, exit code and
-    peak RSS in MB, and its stdout when ``capture``."""
+    """Run one child process on ``src``: its wall time, exit code, peak
+    RSS in MB and minor page faults, and its stdout when ``capture``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     with subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL,
@@ -192,7 +199,7 @@ def child(argv: list[str], src: Path, capture: bool) -> tuple[dict, str]:
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, so Popen does not wait
     return {"s": round(time.perf_counter() - start, 4), "exit": proc.returncode,
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}, out
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "minflt": usage.ru_minflt}, out
 
 
 def measure(src: Path, stage_script: Path, path: Path, reps: int,
@@ -208,22 +215,25 @@ def measure(src: Path, stage_script: Path, path: Path, reps: int,
 
 
 def tabulate(raw: dict) -> dict:
-    """Per map, per stage and e2e row, each side's runs, median and min."""
+    """Per map, per stage and e2e row, each side's runs, median and min;
+    a stage's runs are its times, ``minflt`` the median of its faults."""
     results = {}
     for name, by_side in raw.items():
         rows: dict = {}
         for stage in STAGES:
             for side, measured in by_side.items():
-                runs = [round(stages[stage], 5) for stages, _ in measured if stage in stages]
+                runs = [stages[stage] for stages, _ in measured if stage in stages]
                 if runs:
+                    secs = [round(t, 5) for t, _ in runs]
                     rows.setdefault(stage, {})[side] = {
-                        "runs": runs, "median": round(statistics.median(runs), 5),
-                        "min": min(runs)}
+                        "runs": secs, "median": round(statistics.median(secs), 5),
+                        "min": min(secs), "minflt": statistics.median(f for _, f in runs)}
         for side, measured in by_side.items():
             runs = [e2e for _, e2e in measured]
             rows.setdefault("e2e_solve", {})[side] = {"runs": runs, "median": {
                 "s": round(statistics.median(r["s"] for r in runs), 4),
                 "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+                "minflt": statistics.median(r["minflt"] for r in runs),
                 "exit": sorted({r["exit"] for r in runs})}, "min": {
                 "s": min(r["s"] for r in runs),
                 "peak_rss_mb": min(r["peak_rss_mb"] for r in runs)}}
@@ -244,10 +254,12 @@ def summarize(results: dict) -> dict:
                     f"{parent['s']} -> {change['s']} s "
                     f"(min {parent_min['s']} -> {change_min['s']}), "
                     f"peak RSS {parent['peak_rss_mb']} -> {change['peak_rss_mb']} MB, "
+                    f"minflt {parent['minflt']} -> {change['minflt']}, "
                     f"exit {parent['exit']} -> {change['exit']}")
             else:
                 summary[f"{name}.{row}"] = (
-                    f"{parent} -> {change} s (min {parent_min} -> {change_min})")
+                    f"{parent} -> {change} s (min {parent_min} -> {change_min}), minflt "
+                    f"{sides['parent']['minflt']} -> {sides['change']['minflt']}")
     return summary
 
 
@@ -273,8 +285,9 @@ def main(argv: list[str]) -> int:
                         f"{e2e['peak_rss_mb']} MB")
         results = tabulate(raw)
         report = {
-            "what": "Per-stage wall times of the edd solve path in one process, and e2e "
-                    "`python -m edd solve MAP` with peak RSS: parent against change",
+            "what": "Per-stage wall times and minor page faults of the edd solve path in "
+                    "one process, and e2e `python -m edd solve MAP` with peak RSS and "
+                    "minor page faults: parent against change",
             "parent": parent_sha,
             "change": change,
             "machine": {"python": platform.python_version(),

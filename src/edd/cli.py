@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from enum import IntEnum
@@ -27,6 +28,7 @@ from .instance import (
     AssignmentCapExceeded,
     EddInstance,
     ParseError,
+    _SENTINEL_BYTES,
     _labeling_plan,
     parse_instance,
     serialize_instance,
@@ -72,15 +74,31 @@ class _Output:
             print(json.dumps(self.payload, indent=2))
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str, ascii_bytes: bool = False) -> str | bytearray:
+    """The text of a file as text-mode ``open`` gives it (UTF-8, universal
+    newlines), read once with ``readinto``.  With ``ascii_bytes`` an ASCII
+    file comes undecoded, in a bytearray with room for the sentinels that
+    ``parse_instance`` appends."""
+    with open(path, "rb", buffering=0) as fh:
+        buf, size = bytearray(os.fstat(fh.fileno()).st_size + _SENTINEL_BYTES), 0
+        while True:
+            if size == len(buf):   # a pipe, or a file that grew
+                buf += bytes(size + 4096)
+            with memoryview(buf)[size:] as rest:
+                if not (got := fh.readinto(rest)):
+                    break
+            size += got
+    del buf[size:]
+    if ascii_bytes and buf.isascii():
+        return buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as err:   # read() decodes the whole file at once
+        text = buf.decode("utf-8")
+    except UnicodeDecodeError as err:
         data, at = err.object, err.start
         line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
         message = f"{path} is not UTF-8: byte 0x{data[at]:02x} at column {column}"
         raise ParseError(line, message) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _fail(message: str, code: ExitStatus) -> int:
@@ -89,7 +107,7 @@ def _fail(message: str, code: ExitStatus) -> int:
 
 
 def _load_instance(path: str) -> EddInstance:
-    return parse_instance(_read_file(path))
+    return parse_instance(_read_file(path, ascii_bytes=True))
 
 
 def _parse_index_list(text: str, count: int, name: str) -> np.ndarray:

@@ -19,7 +19,7 @@ import os
 import threading
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -181,17 +181,24 @@ class EddInstance:
 
 
 def _rank(values: np.ndarray) -> np.ndarray:
-    """The order a stable argsort gives, from default-kind sorts.  When
-    every (value, position) pair fits one int64 key, as it does for
-    lengths below (2^63 - 1) / n, that is one sort of those distinct
-    keys, each key's position being its remainder mod n; a sort moves
+    """The order a stable argsort gives, from default-kind sorts.  Each
+    (value >> shift, position) pair is packed into one int64 key, with
+    the least shift that makes the keys fit (none for lengths below
+    (2^63 - 1) / n), and one sort of those distinct keys gives the
+    order, each key's position being its remainder mod n; a sort moves
     only the keys, so it is about four times faster than an argsort.
-    Otherwise it is one argsort of the values, then, only when some
-    values repeat, one more over the distinct keys (tie run, position)
-    to put each run in position order."""
+    After a shift the order holds when the values read nondecreasing
+    in it.  When they do not (two values that differ only in the
+    shifted-out bits lie in reverse order), it is one argsort of the
+    values, then, only when some values repeat, one more over the
+    distinct keys (tie run, position) to put each run in position order."""
     n = len(values)
-    if n and int(values.max()) < MAX_LENGTH // n:
-        return np.sort(values * n + np.arange(n)) % n
+    if not n:
+        return np.arange(0)
+    shift = (int(values.max()) // (MAX_LENGTH // n)).bit_length()
+    order = np.sort((values >> shift) * n + np.arange(n)) % n
+    if not shift or (np.diff(values[order]) >= 0).all():
+        return order
     order = np.argsort(values)
     sv = values[order]
     starts_run = sv[1:] != sv[:-1]
@@ -300,7 +307,7 @@ class ConsistencyReport:
 
 # --- text format -----------------------------------------------------------
 
-def parse_instance(text: str) -> EddInstance:
+def parse_instance(text: str | bytearray) -> EddInstance:
     """Parse an EDD document.
 
     Format: first content line ``EDD 1``; one ``A`` line and one ``B``
@@ -330,8 +337,14 @@ def parse_instance(text: str) -> EddInstance:
     cores; that is why the byte check is numpy comparisons rather than
     a ``bytearray.translate``, which holds the GIL.  A parse starts no
     other thread, and none outlives it.
+
+    ``text`` may also be a bytearray, as ``edd`` reads a file: the plain
+    reader marks it in place with no copy, so the caller gives it up.  One
+    not in plain shape gets its bytes back and is decoded as UTF-8 for
+    ``_read_lines``.
     """
-    return _assemble(*(_read_plain(text) or _read_lines(text)))
+    return _assemble(*(_read_plain(text) or _read_lines(
+        text if isinstance(text, str) else text.decode("utf-8"))))
 
 
 _KINDS = ("A", "B", "AB", "BA")
@@ -344,12 +357,18 @@ _KIND_OF[[ord(k[0]) for k in _KINDS], [ord((k + " ")[1]) for k in _KINDS]] = ran
 # A document of at least this many bytes is read as two parts at once
 # (see ``_read_plain``).
 _TWO_PARTS = 512 * 1024
+# The most bytes ``_read_parts`` appends: a sentinel line and one at the cut.
+_SENTINEL_BYTES = 6
 
 
-def _read_plain(text: str):
+def _read_plain(text: str | bytearray):
     """(lengths, sizes, index, tags, p, q) of a document in plain shape
     (see ``parse_instance``), read in whole-buffer passes; None for any
     other document.
+
+    A ``str`` is read from an ASCII copy; a bytearray in place, with no
+    copy when it has ``_SENTINEL_BYTES`` to spare, and ``_unmark`` puts its
+    bytes back when the document is not in plain shape.
 
     A document of at least ``_TWO_PARTS`` bytes, on a machine where this
     process may run on two CPUs or more, is cut at the first newline
@@ -359,35 +378,31 @@ def _read_plain(text: str):
     and B lines come first, each AB and BA index is in range and read
     once, and neither A nor B is empty.
 
-    A second thread costs about 0.4 ms in start-up and in handing the
-    GIL back and forth, so small documents take one part.  The fastest
-    of 300 alternating parses of big-map documents (one part against
-    two, on a 2-core VM) read 0.26 against 0.64 ms at 17 KB, 0.51
-    against 0.81 ms at 69 KB, 1.64 against 1.93 ms at 270 KB, 2.56
-    against 2.85 ms at 401 KB, 3.29 against 3.01 ms at 532 KB and 6.66
-    against 5.23 ms at 1 MB: two parts start to win between 400 and 530
-    KB.
+    A second thread costs about 0.4 ms in start-up and GIL hand-offs, so
+    small documents take one part: in alternating parses of big-map
+    documents on a 2-core VM, two parts start to win between 400 and 530 KB.
     """
-    if not text.startswith("EDD 1\n") or not text.isascii():
+    if isinstance(text, str):
+        plain = text.startswith("EDD 1\n") and text.isascii()
+        text = bytearray(text, "ascii") if plain else bytearray()
+    if not text.startswith(b"EDD 1\n") or not text.isascii():
         return None
-    cut = -1
-    if len(text) >= _TWO_PARTS and _cpus() > 1:
-        cut = text.find("\n", len(text) // 2, len(text) - 1)
+    size, cut = len(text), -1
+    if size >= _TWO_PARTS and _cpus() > 1:
+        cut = text.find(b"\n", size // 2, size - 1)
     parts = _read_parts(text, cut)
     if None in parts:
-        return None
+        return _unmark(text, cut, size, parts)
     values, sizes, index, tags = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     kinds = np.bincount(tags, minlength=len(_KINDS)).tolist()
-    if kinds[:2] != [1, 1] or tags[0] != 0 or tags[1] != 1:
-        return None
+    if kinds[:2] != [1, 1] or tags[0] != 0 or tags[1] != 1 or not sizes[0] or not sizes[1]:
+        return _unmark(text, cut, size, parts)
     p, q = int(sizes[0]), int(sizes[1])
-    if not p or not q:
-        return None
     for tag, count in ((2, p), (3, q)):
         got = index[tags == tag]
         if (kinds[tag] != count or got.min() < 1 or got.max() > count
                 or np.bincount(got).max() > 1):
-            return None
+            return _unmark(text, cut, size, parts)
     return values, sizes, index, tags, p, q
 
 
@@ -398,20 +413,20 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_parts(text: str, cut: int) -> list:
+def _read_parts(text: str | bytearray, cut: int) -> list:
     """``_read_part`` of each part of a document that starts with its
     header: the whole text when ``cut`` is -1, else the text up to the
     newline at ``cut`` and the text from that newline on.
 
-    The text is copied once, into one buffer, with the header blanked
-    and a ``0 `` sentinel line after each part, so that each part ends
-    in its own sentinel and the second starts with the newline.  The
-    second part is read in a thread of its own, which is joined before
-    this returns or raises, and whose exception is raised here.
+    The text, a bytearray in place or a ``str`` copied once, gets its
+    header blanked and a ``0 `` sentinel line after each part, so that
+    each part ends in its own sentinel and the second starts with the
+    newline.  The second part is read in a thread of its own, which is
+    joined before this returns or raises, and whose exception is raised here.
     """
-    buf = bytearray(text, "ascii")
+    buf = text if isinstance(text, bytearray) else bytearray(text, "ascii")
     buf[:5] = b"     "
-    buf += b"0 " if text.endswith("\n") else b"\n0 "
+    buf += b"0 " if buf.endswith(b"\n") else b"\n0 "
     if cut < 0:
         return [_read_part(np.frombuffer(buf, dtype=np.uint8))]
     buf[cut + 1:cut + 1] = b"0 \n"
@@ -439,7 +454,8 @@ def _read_part(view: np.ndarray):
     """(lengths, sizes, index, tags) of the lines of one part of a
     document, as bytes in a uint8 array that it may overwrite: a part
     that starts with the blanked header or with a newline, and ends in a
-    ``0 `` sentinel line.  None when the part is not in plain shape.
+    ``0 `` sentinel line.  None when the part is not in plain shape,
+    with any kinds it overwrote written back.
 
     The bytes after each newline give each line's kind (``_KIND_OF``).
     Each kind is overwritten in place: its first letter by a ``0``, the
@@ -472,12 +488,12 @@ def _read_part(view: np.ndarray):
     digits = np.count_nonzero(digit)
     spaces = np.count_nonzero(np.equal(view, ord(" "), out=scratch))
     if digits + spaces + len(starts) + 1 != len(view):
-        return None
+        return _put_kinds(view, starts, tags)
     del scratch, newline, digit
     values = np.fromstring(view, dtype=np.int64, sep=" ")
     marks = np.flatnonzero(values == 0)
     if len(marks) != len(starts) + 1 or (values == MAX_LENGTH).any():
-        return None
+        return _put_kinds(view, starts, tags)
     at = marks[:-1][indexed] + 1   # where each AB and BA index is
     index = np.zeros(len(tags), dtype=np.int64)
     index[indexed] = values[at]
@@ -485,6 +501,33 @@ def _read_part(view: np.ndarray):
     keep[marks] = False
     keep[at] = False
     return values[keep], np.diff(marks) - 1 - indexed, index, tags
+
+
+_LEADS = np.frombuffer(b"ABAB", dtype=np.uint8)   # by tag; tag ^ 1 gives AB's and BA's second
+
+
+def _put_kinds(view: np.ndarray, starts: np.ndarray, tags: np.ndarray) -> None:
+    """Write back the kinds of the lines at ``starts`` that ``_read_part`` overwrote."""
+    view[starts] = _LEADS[tags]
+    indexed = tags >= 2
+    view[starts[indexed] + 1] = _LEADS[tags[indexed] ^ 1]
+
+
+def _unmark(buf: bytearray, cut: int, size: int, parts: list) -> None:
+    """Give a bytearray back its ``size`` bytes as they were before
+    ``_read_parts`` read it in place, cut at ``cut``: the header, the
+    line kinds of each part read (a part not read put back its own), and
+    no sentinels."""
+    view = np.frombuffer(buf, dtype=np.uint8)
+    bounds = [0, len(view)] if cut < 0 else [0, cut + 3, len(view)]
+    for lo, hi, part in zip(bounds, bounds[1:], parts):
+        if part is not None:
+            _put_kinds(view, lo + np.flatnonzero(view[lo:hi] == ord("\n"))[:-1] + 1, part[3])
+    del view   # its export would keep the bytearray from shrinking
+    buf[:5] = b"EDD 1"
+    if cut >= 0:
+        del buf[cut + 1:cut + 4]
+    del buf[size:]
 
 
 def _read_lines(text: str):
@@ -758,8 +801,24 @@ def label_duplicates(inst: EddInstance,
         total = count_assignments(inst)
         if total > max_assignments:
             raise AssignmentCapExceeded(total, max_assignments)
-    return (_labeling(ident, groups, combo)
-            for combo in product(*(permutations(range(len(cpos))) for cpos, _ in groups)))
+    return (_labeling(ident, groups, combo) for combo in _bijections([len(c) for c, _ in groups]))
+
+
+def _bijections(sizes: list[int]) -> Iterator[tuple]:
+    """``product(*(permutations(range(m)) for m in sizes))`` as an odometer:
+    ``product`` would hold all of each group's permutations (9! for 9 copies)."""
+    steps = [permutations(range(m)) for m in sizes]
+    combo = [next(step) for step in steps]
+    while True:
+        yield tuple(combo)
+        k = len(steps) - 1
+        while k >= 0 and (nxt := next(steps[k], None)) is None:
+            steps[k] = permutations(range(sizes[k]))
+            combo[k] = next(steps[k])
+            k -= 1
+        if k < 0:
+            return
+        combo[k] = nxt
 
 
 def _labeling(ident: LabeledInstance, groups, perms) -> LabeledInstance:

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .instance import MAX_LENGTH, CPermutation, EddInstance
+from .instance import CPermutation, EddInstance, _grouped, _rank
 from .solver import Solution, canonical_key, canonicalize_solution
 
 COINCIDENT_CUT = "COINCIDENT_CUT"
@@ -106,28 +106,6 @@ def _cut_arrays(pa, pb, inst: EddInstance):
     return a_prefix, b_prefix, bounds, a_index, b_index
 
 
-def _first_mismatch(keys: np.ndarray, n: int, lengths: np.ndarray,
-                    values: np.ndarray, want_owner: np.ndarray) -> int | None:
-    """The smallest fragment whose pieces differ, as a multiset, from its
-    segment of the flats ``values``/``want_owner``; None when all agree.
-
-    ``keys`` are the pieces' owner * n + length rank, sorted, so they
-    list the pieces by (owner, length) as the flats list their values;
-    ``lengths`` are the n piece lengths in rank order.
-    At the first position where the two lists differ, one of them holds
-    the smallest mismatched fragment, and the other a larger one.
-    """
-    owners, got = keys // n, lengths[keys % n]
-    m = min(len(owners), len(want_owner))
-    diff = np.flatnonzero((owners[:m] != want_owner[:m]) | (got[:m] != values[:m]))
-    if len(diff):
-        k = diff[0]
-        return int(min(owners[k], want_owner[k]))
-    if len(owners) != len(want_owner):
-        return int(owners[m] if len(owners) > m else want_owner[m])
-    return None
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
@@ -147,9 +125,15 @@ def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> V
     mismatched AB_i, then the smallest mismatched BA_j.
 
     The work is array-wide: prefix sums place the cuts, one stable
-    argsort merges them into pieces, a running count of the A cuts
-    among them gives each piece's owners, and one sort of (owner, length
-    rank) keys lines the pieces up against the flats of both sides.
+    argsort merges them into pieces, and a running count of the A cuts
+    among them gives each piece's owners.  ``_rank`` puts the pieces in
+    length order and the instance's ranking (``_ranked``) each side's
+    flats in (value, owner) order, so that owners compare position by
+    position once one sort of (run, owner) keys orders the pieces'
+    owners within each run of equal lengths.  Where a run first differs,
+    the smaller owner is the run's smallest mismatched fragment, and no
+    later position of the run names a smaller one.  A BA side that is
+    not C (an inconsistent instance) is compared in (owner, length) order.
     Positions are exact Python ints when a digest's total passes int64.
     Raises ValueError when pa or pb is not a permutation; ``checked``
     says that they are int64 arrays already known to be permutations, so
@@ -164,26 +148,31 @@ def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> V
     # a piece is no longer than the fragments holding it, so lengths fit int64
     pieces = np.diff(bounds).astype(np.int64)
     fa, oa, _, fb, ob, _ = inst._flats()
-    n = len(pieces)
-    if int(pieces.max()) < MAX_LENGTH // n:
-        # distinct (length, position) keys: a sort, not an argsort, orders them
-        keys = np.sort(pieces * n + np.arange(n))
-        by_length, lengths = keys % n, keys // n
-    else:
-        by_length = np.argsort(pieces)
-        lengths = pieces[by_length]
-    if n != len(fa) or (lengths != np.sort(fa)).any():
+    by_length = _rank(pieces)
+    order_a, order_b = inst._ranked
+    lengths = pieces[by_length]
+    if not np.array_equal(lengths, fa[order_a]):   # False too when the sizes differ
         return VerifyResult(False, "piece multiset differs from C")
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_length] = np.arange(n)
-    # B-fragment j is owner p + j, so one pass checks AB_i before BA_j
-    p = inst.p
-    keys = np.sort(np.concatenate((a_index, b_index + p)) * n + np.tile(rank, 2))
-    bad = _first_mismatch(keys, n, lengths, np.concatenate((fa, fb)),
-                          np.concatenate((oa, ob + p)))
-    if bad is None:
-        return VerifyResult(True)
-    return VerifyResult(False, f"AB_{bad + 1} mismatch" if bad < p else f"BA_{bad - p + 1} mismatch")
+    got_a, got_b = a_index[by_length], b_index[by_length]
+    same = lengths[1:] == lengths[:-1]
+    if same.any():   # put the pieces' owners in order within each run of equal lengths
+        tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+        run = np.cumsum(np.insert(~same, 0, True))[tied]
+        for got, count in ((got_a, inst.p), (got_b, inst.q)):
+            got[tied] = np.sort(run * count + got[tied]) - run * count
+    for name, got, want in (("AB", got_a, oa[order_a]), ("BA", got_b, ob[order_b])):
+        if name == "BA" and not np.array_equal(lengths, fb[order_b]):
+            # the BA side is not C: line the pieces up with it by (owner, length)
+            values, got, _ = _grouped(lengths, got, inst.q)
+            m = min(len(got), len(fb))
+            k = np.flatnonzero(np.append((got[:m] != ob[:m]) | (values[:m] != fb[:m]), True))[0]
+            bad = min(got[k:k + 1].tolist() + ob[k:k + 1].tolist())   # k = m: one list ended
+        else:
+            differ = got != want
+            bad = int(np.minimum(got, want)[differ].min()) if differ.any() else None
+        if bad is not None:
+            return VerifyResult(False, f"{name}_{bad + 1} mismatch")
+    return VerifyResult(True)
 
 
 def _solution_from_layout(inst: EddInstance, pa, pb) -> Solution:

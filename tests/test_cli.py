@@ -1,18 +1,23 @@
 import json
 import math
+import os
+import random
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
 
 from edd import cli
 from edd.cli import main
+import edd.instance as instance
 from edd.generator import random_instance
-from edd.instance import EddInstance, serialize_instance
+from edd.instance import EddInstance, ParseError, parse_instance, serialize_instance
 from edd.reduction import MAX_REDUCTION_NODES
 
 from conftest import DEMO_TEXT, deep_subtree_instance, dup_instance
+from test_format_sweeps import NEAR_PLAIN, _byte_edit, _sweep_documents
 
 
 @pytest.fixture
@@ -363,6 +368,96 @@ def test_non_utf8_file_error_names_file_and_line(capsys, demo_file, tmp_path):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: line {line}: {binary} is not UTF-8: byte 0xe9 at column 6\n"
+
+
+def test_fifo_is_read_to_its_end(tmp_path):
+    """A pipe has no size to allocate for: the reader grows its buffer
+    until the end of the data, past the pipe's own 64 KiB."""
+    inst = random_instance(3, 3001, 3000, 10**12, duplicate_free=True)[0]
+    data = serialize_instance(inst).encode()
+    fifo = tmp_path / "map.fifo"
+    os.mkfifo(fifo)
+    assert os.stat(fifo).st_size == 0 and len(data) > 2**17
+
+    def write():
+        with open(fifo, "wb") as fh:
+            for k in range(0, len(data), 5000):
+                fh.write(data[k:k + 5000])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert cli._load_instance(str(fifo)) == inst
+    finally:
+        writer.join(10)
+
+
+def test_crlf_file_keeps_the_plain_reader(tmp_path, monkeypatch):
+    def line_loop(text):
+        raise AssertionError("CRLF file read line by line")
+
+    monkeypatch.setattr(instance, "_read_lines", line_loop)
+    inst = random_instance(4, 40, 30, 10**9)[0]
+    path = tmp_path / "crlf.edd"
+    path.write_bytes(serialize_instance(inst).replace("\n", "\r\n").encode())
+    assert cli._load_instance(str(path)) == inst
+
+
+def test_no_final_newline_and_non_ascii_comment(tmp_path):
+    path = tmp_path / "map.edd"
+    path.write_bytes(DEMO_TEXT.rstrip("\n").encode())
+    assert cli._load_instance(str(path)) == parse_instance(DEMO_TEXT)
+    path.write_bytes(("# café, naïve – ½\n" + DEMO_TEXT.rstrip("\n")).encode())
+    assert cli._load_instance(str(path)) == parse_instance(DEMO_TEXT)
+
+
+def _load_outcome(load, path):
+    try:
+        return ("ok", load(path))
+    except ParseError as err:
+        return ("error", str(err))
+
+
+def _text_mode_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return parse_instance(fh.read())
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_loaded_bytes_read_as_text_mode_reads_them(tmp_path, monkeypatch, parts):
+    """The sweep documents, byte edits of them, some with CRLF or a lone
+    CR, and the near-plain documents, written as bytes: ``_load_instance``
+    gives the instance or the ParseError that the text of a text-mode
+    read gives, and a buffer the plain reader turns down gets its bytes
+    back, in one part and cut in two."""
+    if parts == 2:
+        monkeypatch.setattr(instance, "_TWO_PARTS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rng = random.Random(parts)
+    docs = [serialize_instance(inst) for inst in _sweep_documents(rng)]
+    texts = list(NEAR_PLAIN)
+    for trial in range(600):
+        text = docs[trial % len(docs)]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            text = _byte_edit(rng, text)
+        if rng.random() < 0.25:
+            text = text.replace("\n", "\r\n")
+        if rng.random() < 0.1:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + "\r" + text[k:]
+        texts.append(text)
+    path = tmp_path / "doc.edd"
+    outcomes = set()
+    for text in texts:
+        data = text.encode()
+        path.write_bytes(data)
+        want = _load_outcome(_text_mode_load, path)
+        assert _load_outcome(cli._load_instance, str(path)) == want, text
+        buf = bytearray(data)
+        if instance._read_plain(buf) is None:
+            assert buf == data, text
+        outcomes.add(want[0])
+    assert outcomes == {"ok", "error"}
 
 
 def test_reduce_hp_golden(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import islice, permutations, product, zip_longest
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from edd.instance import (
     label_duplicates,
     parse_instance,
     serialize_instance,
+    _labeling,
     _labeling_plan,
+    _rank,
     validate_consistency,
 )
 
@@ -162,6 +166,64 @@ def test_label_count_matches_factorial_product():
     assert len(labs) == 12
     keys = {tuple(lab.c_elements) for lab in labs}
     assert len(keys) == 12
+
+
+def test_rank_matches_stable_argsort(monkeypatch):
+    """Small and large lengths, repeats, and lengths that differ only in
+    the bits the packed sort shifts out, which send it to the argsort."""
+    stable = np.argsort
+    fallbacks, took = [], []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: fallbacks.append(1) or stable(*a, **k))
+    rng = np.random.default_rng(2)
+    for trial in range(3000):
+        n = int(rng.integers(0, 60))
+        low, high = [(1, 10), (MAX_LENGTH - 20, MAX_LENGTH), (1, MAX_LENGTH),
+                     (2**62, 2**62 + 64), (1, 2**61 // max(n, 1))][trial % 5]
+        values = rng.integers(low, high, n, endpoint=True)
+        want = stable(values, kind="stable")
+        fallbacks.clear()
+        assert np.array_equal(_rank(values), want), values
+        if trial % 5 in (1, 3) and n > 1:   # close values past the packing limit
+            took.append(bool(fallbacks))
+    assert 0 < sum(took) < len(took), sum(took)
+
+
+def _old_labelings(inst):
+    """Every labeling in the order ``itertools.product`` over each
+    group's permutations gives them."""
+    ident, groups = _labeling_plan(inst)
+    return (_labeling(ident, groups, combo)
+            for combo in product(*(permutations(range(len(c))) for c, _ in groups)))
+
+
+def _same_labelings(got, want):
+    return all(np.array_equal(g.c_elements.columns, w.c_elements.columns)
+               for g, w in zip_longest(got, want, fillvalue=CPermutation(np.empty((4, 0)))))
+
+
+def test_label_nine_copies_start_without_holding_all_permutations():
+    # nine pieces of length 10, one group of 9! bijections
+    inst = instance_from_cuts(CutModel(90, (10, 30, 50, 70), (20, 40, 60, 80)))[0]
+    assert inst.ab_sets == ((10,), (10, 10), (10, 10), (10, 10), (10, 10))
+    tracemalloc.start()
+    try:
+        first = next(label_duplicates(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    old = list(islice(_old_labelings(inst), 50))
+    assert _same_labelings([first], old[:1])
+    assert _same_labelings(islice(label_duplicates(inst), 50), old)
+
+
+def test_label_order_of_several_groups():
+    """Later groups vary fastest, each group's bijections in
+    lexicographic order, through every labeling."""
+    for inst in (dup_instance(), multi_dup_instance(),
+                 random_instance(4, 5, 6, 24, min_duplicates=4)[0]):
+        assert len(_labeling_plan(inst)[1]) >= 1
+        assert _same_labelings(label_duplicates(inst), _old_labelings(inst))
 
 
 def test_label_cap():

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from edd.verifier import (
 )
 
 from conftest import demo_instance, dup_instance
+from format_reference import reference_verify
 
 
 def test_verify_sum_mismatch():
@@ -105,3 +109,43 @@ def test_oracle_cap():
     with pytest.raises(OracleCapExceeded):
         brute_force_solve(small, max_total=3)
     assert len(brute_force_solve(small, max_total=4)) >= 1
+
+
+def _in_shared_run(inst, pa, pb, reason):
+    """True when the fragment ``reason`` names gets the wrong count of a
+    length that other fragments of its side hold too: a mismatch inside
+    a run of equal lengths that spans several fragments."""
+    side, k = reason.split(" ")[0].split("_")
+    sets = inst.ab_sets if side == "AB" else inst.ba_sets
+    a = np.cumsum([inst.a_lengths[i] for i in pa])
+    b = np.cumsum([inst.b_lengths[j] for j in pb])
+    bounds = sorted({0, *a.tolist(), *b.tolist()})
+    cuts = a if side == "AB" else b
+    order = pa if side == "AB" else pb
+    got = Counter(hi - lo for lo, hi in zip(bounds, bounds[1:])
+                  if order[int(np.searchsorted(cuts, lo, side="right"))] == int(k) - 1)
+    want = Counter(sets[int(k) - 1])
+    return any(got[v] != want[v] and sum(v in s for s in sets) > 1 for v in got | want)
+
+
+def test_verifier_matches_reference_on_duplicate_runs():
+    """Maps of 2-8 fragments a side on lines only a little longer than
+    p + q, so that most pieces share their length with pieces of other
+    fragments, under random layouts: the verdicts and reasons equal the
+    reference's, and many mismatches lie inside a run of equal lengths."""
+    rng = random.Random(21)
+    reasons, in_runs = Counter(), 0
+    for seed in range(500):
+        p, q = rng.randint(2, 8), rng.randint(2, 8)
+        inst, truth = random_instance(seed, p, q, p + q + rng.randint(2, 14))
+        orders = [(truth.pi_a, truth.pi_b)]
+        orders += [(tuple(rng.sample(range(p), p)), tuple(rng.sample(range(q), q)))
+                   for _ in range(9)]
+        for pa, pb in orders:
+            want = reference_verify(inst, pa, pb)
+            assert verify_permutation(inst, pa, pb) == want, (inst, pa, pb)
+            reasons[want.reason and want.reason.split("_")[0]] += 1
+            if want.reason and want.reason[:2] in ("AB", "BA"):
+                in_runs += _in_shared_run(inst, pa, pb, want.reason)
+    assert min(reasons[k] for k in (None, "AB", "BA")) >= 100, reasons
+    assert in_runs >= 200, (in_runs, reasons)

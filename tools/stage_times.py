@@ -1,4 +1,5 @@
-"""Stage and end-to-end wall times of ``edd solve``: a change against its parent.
+"""Stage and end-to-end wall times of ``edd solve`` and ``edd verify``: a
+change against its parent.
 
     python3 tools/stage_times.py > BENCH_<PR>.json
 
@@ -18,13 +19,18 @@ maps, written there by this checkout's generator:
 
 for N = 10**4, 10**5 and 10**6 fragments, and ``layouts``, the
 27-fragment map ``perfbench/workloads.layout_map(7, 0)`` of the
-all-layouts cut pattern, with 8,640 distinct layouts.  Each of five
+all-layouts cut pattern, with 8,640 distinct layouts.  Each free and
+nomap map also gets the generator's truth as an orders file, its ``PA``
+and ``PB`` lines (the nomap map's truth being free's).  Each of five
 runs measures each map on both sides, the parent first in runs 1, 3
 and 5 and the change first in runs 2 and 4, since the core speed of a
 shared machine drifts; each stage and e2e row keeps its runs, their
 median and their min.  A side is measured in two child processes:
 
-- stages, all in one process: read the file, ``parse_instance``,
+- stages, all in one process: read the file and ``parse_instance`` it
+  as ``cli._load_instance`` does (``cli._read_file`` into a bytearray, or
+  on a side from before that reader, a text-mode read), their sum as
+  ``read+parse``,
   ``validate_consistency``, ``_labeling_plan``, the first labeling
   (``_labeling`` with identity matchings; it takes the plan's identity
   labeling and groups, or on a side from before the plan was a
@@ -34,16 +40,20 @@ median and their min.  A side is measured in two child processes:
   ``cli._family_notation``) and rendering the text of the first layout
   (``cli._write_layouts`` into a sink that drops it, or on a side from
   before it, the four lines of ``cli._family_layouts``); the last three
-  only when the screen finds no violation.  Each stage's time is the
+  only when the screen finds no violation; and on a map with an orders
+  file, ``verify_permutation`` of those orders, on an instance parsed
+  afresh (untimed) so that it ranks its flats as ``edd verify`` does.
+  Each stage's time is the
   median of 5, 3 or 1 repetitions at 10**4, 10**5 or 10**6 fragments,
   and of 5 on ``layouts``.  Next to each time it keeps the minor page
   faults the stage took (``ru_minflt`` before and after, the median
   over the same repetitions): glibc gives freed heap back to the system
   between calls, so a stage that allocates large temporaries faults
   their pages in again on every call, in system time;
-- e2e: ``python -m edd solve MAP``, with ``--all`` on ``layouts``,
-  stdout to ``/dev/null``, with its wall time, exit code, peak RSS and
-  minor page faults (``os.wait4``).
+- e2e: ``python -m edd solve MAP``, with ``--all`` on ``layouts``, and
+  on a map with an orders file ``python -m edd verify MAP --orders
+  FILE``, each with its wall time, exit code, peak RSS, minor page
+  faults (``os.wait4``) and a hash of its stdout, which goes to a file.
 
 The JSON report goes to stdout, progress lines to stderr.  The script
 takes no options.
@@ -51,6 +61,7 @@ takes no options.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -69,18 +80,27 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
 SIZES = {"1e4": 10**4, "1e5": 10**5, "1e6": 10**6}
 REPS = {"1e4": 5, "1e5": 3, "1e6": 1}
-STAGES = ("read", "parse", "validate", "plan", "label", "screen", "dangler", "notation", "render")
+STAGES = ("read", "parse", "read+parse", "validate", "plan", "label", "screen", "dangler",
+          "notation", "render", "verify")
+E2E = ("e2e_solve", "e2e_verify")
 
 STAGE_CODE = r'''
-import json, resource, statistics, sys, time
+import inspect, json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from edd import cli
 from edd.digestgraph import build_graph, check_structure
 from edd.instance import _labeling, _labeling_plan, parse_instance, validate_consistency
 from edd.solver import dangler_first_search, expand_family
+from edd.verifier import verify_permutation
 
-path, reps = sys.argv[2], int(sys.argv[3])
+path, reps, orders = sys.argv[2], int(sys.argv[3]), sys.argv[4:]
 times, faults = {}, {}
+
+def read():
+    if "ascii_bytes" in inspect.signature(cli._read_file).parameters:
+        return cli._read_file(path, ascii_bytes=True)
+    with open(path, encoding="utf-8") as fh:   # a side from before the bytes reader
+        return fh.read()
 
 def timed(name, fn):
     flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -91,10 +111,11 @@ def timed(name, fn):
     return out
 
 for _ in range(reps):
-    with open(path, encoding="utf-8") as fh:
-        text = timed("read", fh.read)
+    text = timed("read", read)
     inst = timed("parse", lambda: parse_instance(text))
     del text
+    for table in (times, faults):
+        table.setdefault("read+parse", []).append(table["read"][-1] + table["parse"][-1])
     timed("validate", lambda: validate_consistency(inst))
     plan = timed("plan", lambda: _labeling_plan(inst))
     old = hasattr(plan, "groups")   # a _LabelingPlan, not (identity labeling, groups)
@@ -111,6 +132,11 @@ for _ in range(reps):
         else:
             timed("render", lambda: cli._write_layouts(inst, expand_family(fam, 1), lambda text: None))
     del inst, plan, args, groups, lab, g, verdict
+    if orders:
+        fresh = parse_instance(read())
+        pa, pb = cli._read_orders(orders[0], fresh.p, fresh.q)
+        timed("verify", lambda: verify_permutation(fresh, pa, pb, checked=True))
+        del fresh, pa, pb
 print(json.dumps({name: [statistics.median(ts), statistics.median(faults[name])]
                   for name, ts in times.items()}))
 '''
@@ -155,6 +181,10 @@ specs = {
 for kind, (spec, inst) in specs.items():
     (into / f"{kind}_{label}.edd").write_text(serialize_instance(inst), encoding="utf-8")
     specs[kind] = spec
+    if kind != "dup":
+        (into / f"{kind}_{label}.orders").write_text(
+            "".join(f"{tag} {' '.join(str(i + 1) for i in order)}\n"
+                    for tag, order in (("PA", truth.pi_a), ("PB", truth.pi_b))), encoding="utf-8")
 print(json.dumps(specs))
 '''
 
@@ -172,46 +202,60 @@ def write_maps(into: Path) -> dict:
     """The ten input maps, made by this checkout's generator in child
     processes, so that this process stays small: a child's peak RSS counts
     the process it was started from.  Returns name -> (path, spec,
-    stage repetitions, e2e solve options)."""
+    stage repetitions, e2e solve options, orders file or None)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "perfbench"))))
     maps = {}
     for label, size in SIZES.items():
         done = subprocess.run([sys.executable, "-c", MAP_CODE, str(into), label, str(size)],
                               env=env, check=True, capture_output=True, text=True)
         for kind, spec in json.loads(done.stdout).items():
-            maps[f"{kind}_{label}"] = (into / f"{kind}_{label}.edd", spec, REPS[label], [])
+            orders = into / f"{kind}_{label}.orders"
+            maps[f"{kind}_{label}"] = (into / f"{kind}_{label}.edd", spec, REPS[label], [],
+                                       orders if orders.exists() else None)
             log(f"wrote {kind}_{label}.edd")
     path = into / "layouts.edd"
     subprocess.run([sys.executable, "-c", LAYOUT_CODE, str(path)], env=env, check=True)
-    maps["layouts"] = (path, "perfbench/workloads.layout_map(7, 0)", 5, ["--all"])
+    maps["layouts"] = (path, "perfbench/workloads.layout_map(7, 0)", 5, ["--all"], None)
     log("wrote layouts.edd")
     return maps
 
 
-def child(argv: list[str], src: Path, capture: bool) -> tuple[dict, str]:
-    """Run one child process on ``src``: its wall time, exit code, peak
-    RSS in MB and minor page faults, and its stdout when ``capture``."""
+def child(argv: list[str], src: Path, out: Path) -> dict:
+    """Run one child process on ``src``, its stdout to the file ``out``:
+    its wall time, exit code, peak RSS in MB, minor page faults and a
+    hash of its stdout."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    with subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL,
-                          stdout=subprocess.PIPE if capture else subprocess.DEVNULL) as proc:
-        out = proc.stdout.read().decode() if capture else ""
+    with out.open("wb") as sink, subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL,
+                                                   stdout=sink) as proc:
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, so Popen does not wait
-    return {"s": round(time.perf_counter() - start, 4), "exit": proc.returncode,
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "minflt": usage.ru_minflt}, out
+    seconds = round(time.perf_counter() - start, 4)
+    # hashed in chunks: a child's peak RSS starts from this process's RSS
+    digest = hashlib.blake2b(digest_size=8)
+    with out.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return {"s": seconds, "exit": proc.returncode, "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "minflt": usage.ru_minflt, "stdout": digest.hexdigest()}
 
 
-def measure(src: Path, stage_script: Path, path: Path, reps: int,
-            options: list[str]) -> tuple[dict, dict]:
-    """The stage times and the e2e row of one map on one side."""
-    ran, out = child([sys.executable, str(stage_script), str(src), str(path), str(reps)],
-                     src, capture=True)
+def measure(src: Path, stage_script: Path, path: Path, reps: int, options: list[str],
+            orders: Path | None) -> tuple[dict, dict]:
+    """The stage times and the e2e rows of one map on one side."""
+    out = stage_script.with_name("stdout")
+    extra = [str(orders)] if orders else []
+    ran = child([sys.executable, str(stage_script), str(src), str(path), str(reps), *extra],
+                src, out)
     if ran["exit"] != 0:
         raise RuntimeError(f"stage run failed on {path.name} with {src}")
-    e2e, _ = child([sys.executable, "-m", "edd", "solve", str(path), *options], src,
-                   capture=False)
-    return json.loads(out), e2e
+    stages = json.loads(out.read_text())
+    e2e = {"e2e_solve": child([sys.executable, "-m", "edd", "solve", str(path), *options],
+                              src, out)}
+    if orders:
+        e2e["e2e_verify"] = child([sys.executable, "-m", "edd", "verify", str(path),
+                                   "--orders", str(orders)], src, out)
+    return stages, e2e
 
 
 def tabulate(raw: dict) -> dict:
@@ -228,15 +272,19 @@ def tabulate(raw: dict) -> dict:
                     rows.setdefault(stage, {})[side] = {
                         "runs": secs, "median": round(statistics.median(secs), 5),
                         "min": min(secs), "minflt": statistics.median(f for _, f in runs)}
-        for side, measured in by_side.items():
-            runs = [e2e for _, e2e in measured]
-            rows.setdefault("e2e_solve", {})[side] = {"runs": runs, "median": {
-                "s": round(statistics.median(r["s"] for r in runs), 4),
-                "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
-                "minflt": statistics.median(r["minflt"] for r in runs),
-                "exit": sorted({r["exit"] for r in runs})}, "min": {
-                "s": min(r["s"] for r in runs),
-                "peak_rss_mb": min(r["peak_rss_mb"] for r in runs)}}
+        for row in E2E:
+            for side, measured in by_side.items():
+                runs = [e2e[row] for _, e2e in measured if row in e2e]
+                if not runs:
+                    continue
+                rows.setdefault(row, {})[side] = {"runs": runs, "median": {
+                    "s": round(statistics.median(r["s"] for r in runs), 4),
+                    "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+                    "minflt": statistics.median(r["minflt"] for r in runs),
+                    "exit": sorted({r["exit"] for r in runs}),
+                    "stdout": sorted({r["stdout"] for r in runs})}, "min": {
+                    "s": min(r["s"] for r in runs),
+                    "peak_rss_mb": min(r["peak_rss_mb"] for r in runs)}}
         results[name] = rows
     return results
 
@@ -249,13 +297,15 @@ def summarize(results: dict) -> dict:
                 continue
             parent, change = sides["parent"]["median"], sides["change"]["median"]
             parent_min, change_min = sides["parent"]["min"], sides["change"]["min"]
-            if row == "e2e_solve":
+            if row in E2E:
+                same = len(parent["stdout"]) == 1 and parent["stdout"] == change["stdout"]
                 summary[f"{name}.{row}"] = (
                     f"{parent['s']} -> {change['s']} s "
                     f"(min {parent_min['s']} -> {change_min['s']}), "
                     f"peak RSS {parent['peak_rss_mb']} -> {change['peak_rss_mb']} MB, "
                     f"minflt {parent['minflt']} -> {change['minflt']}, "
-                    f"exit {parent['exit']} -> {change['exit']}")
+                    f"exit {parent['exit']} -> {change['exit']}, "
+                    f"stdout {'identical' if same else 'DIFFERS'}")
             else:
                 summary[f"{name}.{row}"] = (
                     f"{parent} -> {change} s (min {parent_min} -> {change_min}), minflt "
@@ -277,17 +327,19 @@ def main(argv: list[str]) -> int:
         raw: dict = {name: {side: [] for side in sides} for name in maps}
         for run in range(RUNS):
             order = ("parent", "change") if run % 2 == 0 else ("change", "parent")
-            for name, (path, _spec, reps, options) in maps.items():
+            for name, (path, _spec, reps, options, orders) in maps.items():
                 for side in order:
-                    stages, e2e = measure(sides[side], stage_script, path, reps, options)
+                    stages, e2e = measure(sides[side], stage_script, path, reps, options, orders)
                     raw[name][side].append((stages, e2e))
-                    log(f"run {run + 1} {name} {side}: e2e {e2e['s']} s, exit {e2e['exit']}, "
-                        f"{e2e['peak_rss_mb']} MB")
+                    log(f"run {run + 1} {name} {side}: " + ", ".join(
+                        f"{row} {r['s']} s, exit {r['exit']}, {r['peak_rss_mb']} MB"
+                        for row, r in e2e.items()))
         results = tabulate(raw)
         report = {
-            "what": "Per-stage wall times and minor page faults of the edd solve path in "
-                    "one process, and e2e `python -m edd solve MAP` with peak RSS and "
-                    "minor page faults: parent against change",
+            "what": "Per-stage wall times and minor page faults of the edd solve and verify "
+                    "paths in one process, and e2e `python -m edd solve MAP` and "
+                    "`python -m edd verify MAP --orders FILE` with peak RSS, minor page "
+                    "faults and a stdout hash: parent against change",
             "parent": parent_sha,
             "change": change,
             "machine": {"python": platform.python_version(),
@@ -295,8 +347,9 @@ def main(argv: list[str]) -> int:
                             [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                             check=True, capture_output=True, text=True).stdout.strip(),
                         "cpus": os.cpu_count(), "platform": platform.platform()},
-            "inputs": {name: {"spec": spec, "bytes": path.stat().st_size, "solve": options}
-                       for name, (path, spec, _reps, options) in maps.items()},
+            "inputs": {name: {"spec": spec, "bytes": path.stat().st_size, "solve": options,
+                              "orders": orders is not None}
+                       for name, (path, spec, _reps, options, orders) in maps.items()},
             "method": __doc__.split("\n\n", 2)[2].strip(),
             "summary": summarize(results),
             "results": results,

@@ -278,10 +278,8 @@ def _write_layouts(inst: EddInstance, expansion, write) -> None:
         number += size
 
 
-def _violation_json(v, graph) -> dict | None:
-    if v is None:
-        return None
-    return {"kind": v.kind, "witness": [graph.node_name(r) for r in v.nodes]}
+def _violation_json(v, lab) -> dict:
+    return {"kind": v.kind, "witness": [lab.node_name(r) for r in v.nodes]}
 
 
 def cmd_check(args, out: _Output) -> int:
@@ -323,17 +321,14 @@ def cmd_solve(args, out: _Output) -> int:
         out.emit_json()
         return int(ExitStatus.CAP_EXCEEDED)
 
-    if not result:
-        reason = result.first_violation
-        g = build_graph(result.violation_labeling) if reason is not None else None
+    if not result:   # every labeling tried failed the screen; the first one names its witness
+        violation = _violation_json(result.first_violation, result.violation_labeling)
         out.payload = {"status": "no-solution",
                        "assignmentsTried": result.assignments_tried,
-                       "violation": _violation_json(reason, g)}
+                       "violation": violation}
         out.line("status: no-solution")
-        if reason is not None:
-            names = " ".join(g.node_name(r) for r in reason.nodes)
-            out.line(f"reason: {reason.kind}")
-            out.line(f"witness: {names}")
+        out.line(f"reason: {violation['kind']}")
+        out.line(f"witness: {' '.join(violation['witness'])}")
         out.emit_json()
         return int(ExitStatus.NO_SOLUTION)
 

@@ -10,17 +10,18 @@ the diameter as int64 arrays: its interior nodes, the C-edges linking
 them, and the pendant C-edges grouped by the diameter node they hang
 from.
 
-Internally the graph is contracted: A/B fragments are the nodes and
-each C-element is an edge between its two owners.  One numpy engine
-screens every graph size, on the stripped graph: the contracted graph
-without its leaves (about half the nodes of a solvable map), which has
-the same cycles and, unless an edge joins two leaves, the same
-connectivity.  An Euler tour of it, ranked by pointer jumping, gives
-connectivity.  A tree passes when it is a caterpillar, the stripped
-graph a path, whose spine the tour reads in one pass; only a tree that
-is not, always DEEP_SUBTREE, takes the tour's distances for the
-two-pass diameter, a leaf lying one step past its neighbour, and masks
-for the witness.
+The graph is the labeling itself: a LabeledInstance's ``a_owners`` and
+``b_owners`` are its edge list.  It is screened contracted: A/B
+fragments are the nodes and each C-element is an edge between its two
+owners.  One numpy engine screens every graph size, on the stripped
+graph: the contracted graph without its leaves (about half the nodes of
+a solvable map), which has the same cycles and, unless an edge joins
+two leaves, the same connectivity.  An Euler tour of it, ranked by
+pointer jumping, gives connectivity.  A tree passes when it is a
+caterpillar, the stripped graph a path, whose spine the tour reads in
+one pass; only a tree that is not, always DEEP_SUBTREE, takes the
+tour's distances for the two-pass diameter, a leaf lying one step past
+its neighbour, and masks for the witness.
 """
 
 from __future__ import annotations
@@ -45,53 +46,19 @@ class NodeRef(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True, eq=False)
-class DigestGraph:
-    """Immutable digest graph over a LabeledInstance."""
-
-    labeled: LabeledInstance
-
-    @property
-    def p(self) -> int:
-        return self.labeled.base.p
-
-    @property
-    def q(self) -> int:
-        return self.labeled.base.q
-
-    @property
-    def n(self) -> int:
-        return self.labeled.n
-
-    @property
-    def a_owners(self) -> np.ndarray:
-        return self.labeled.a_owners
-
-    @property
-    def b_owners(self) -> np.ndarray:
-        return self.labeled.b_owners
-
-    def node_name(self, ref: NodeRef) -> str:
-        if ref.kind == "A":
-            return f"A{ref.index + 1}"
-        if ref.kind == "B":
-            return f"B{ref.index + 1}"
-        lab = self.labeled
-        return f"C{int(lab.values[ref.index])}#{int(lab.copy_ids[ref.index])}"
-
-
-def build_graph(inst: LabeledInstance) -> DigestGraph:
-    """Wrap a labeled instance as its digest graph (O(n), arrays shared)."""
-    p, q, n = inst.base.p, inst.base.q, inst.n
+def build_graph(inst: LabeledInstance) -> LabeledInstance:
+    """Check that a labeled instance is a digest graph, its C-elements
+    the edges between their owners, and return it.  O(n)."""
+    p, q, n = inst.p, inst.q, inst.n
     if n != p + q - 1:
         raise ValueError(f"|C| = {n} but p + q - 1 = {p + q - 1}; instance is inconsistent")
     if n and (int(inst.a_owners.min()) < 0 or int(inst.a_owners.max()) >= p
               or int(inst.b_owners.min()) < 0 or int(inst.b_owners.max()) >= q):
         raise ValueError("owner index out of range")
-    return DigestGraph(inst)
+    return inst
 
 
-def export_edges(g: DigestGraph) -> str:
+def export_edges(g: LabeledInstance) -> str:
     """Debug dump: one edge per line with stable node names."""
     lines = []
     ao = g.a_owners.tolist()
@@ -145,7 +112,7 @@ class StructureVerdict:
     payload: _TreePayload | None
 
 
-def check_structure(g: DigestGraph) -> StructureVerdict:
+def check_structure(g: LabeledInstance) -> StructureVerdict:
     """Decide tree-ness and the dangler condition on one diameter.
 
     The graph always has one more node than edges, so it is a tree
@@ -240,13 +207,13 @@ def _end_leaf(leaf: np.ndarray, anchor: np.ndarray, end: int) -> int:
     return int(np.argmax(leaf & (anchor == end)))
 
 
-def _tree_payload(g: DigestGraph, spine, links, pend_c, pend_pos) -> _TreePayload:
+def _tree_payload(g: LabeledInstance, spine, links, pend_c, pend_pos) -> _TreePayload:
     """The payload, its pendants sorted by (spine position, rank)."""
-    by_pos = np.argsort(pend_pos * g.n + g.labeled.rank[pend_c])
+    by_pos = np.argsort(pend_pos * g.n + g.rank[pend_c])
     return _TreePayload(False, spine, links, pend_c[by_pos], pend_pos[by_pos])
 
 
-def _deep_subtree(g: DigestGraph, depth_seq, first_at, leaf) -> StructureVerdict:
+def _deep_subtree(g: LabeledInstance, depth_seq, first_at, leaf) -> StructureVerdict:
     """DEEP_SUBTREE on a tree that is no caterpillar, with its payload.
 
     The diameter is found by two farthest-node passes from the smallest
@@ -354,7 +321,7 @@ def _face_walk(tail: np.ndarray, root: int) -> np.ndarray:
     return out
 
 
-def _off_tree_violation(g: DigestGraph, walk, tail, head, inner, anchor,
+def _off_tree_violation(g: LabeledInstance, walk, tail, head, inner, anchor,
                         root: int) -> StructureViolation:
     """Cycle or unreached node, judged on the component of node 0.
 
@@ -392,7 +359,7 @@ def _off_tree_violation(g: DigestGraph, walk, tail, head, inner, anchor,
         g, par.tolist(), pare.tolist(), int(tail[k]), int(head[k]), int(inner[k])))
 
 
-def _extract_cycle(g: DigestGraph, par, pare, u, w, k) -> tuple[NodeRef, ...]:
+def _extract_cycle(g: LabeledInstance, par, pare, u, w, k) -> tuple[NodeRef, ...]:
     p = g.p
     ancestors = set()
     x = u

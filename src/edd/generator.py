@@ -84,7 +84,12 @@ def random_instance(seed: int, p: int, q: int, total_length: int, *,
     to the first enzyme at random.  ``min_duplicates`` demands at least
     that many repeated values in C (duplicates = |C| minus the number of
     distinct values); ``duplicate_free`` demands none.  Both resample up
-    to ``max_retries`` times.
+    to ``max_retries`` times, counting the repeats on the drawn piece
+    lengths and building only the draw they accept.  Profiles that no
+    draw, or a vanishing share of draws, can meet are refused before the
+    first: n = p+q-1 pieces have at most n-1 repeats, n distinct lengths
+    need a line of n(n+1)/2, and a draw has about n^3 / (4 total_length)
+    repeats, so past 40 of them fewer than one draw in 10^17 has none.
     """
     if p < 1 or q < 1:
         raise InfeasibleParams("p and q must be at least 1")
@@ -96,20 +101,28 @@ def random_instance(seed: int, p: int, q: int, total_length: int, *,
     if k > total_length - 1:
         raise InfeasibleParams(
             f"cannot place {k} distinct cuts inside a length-{total_length} line")
+    n = k + 1
+    if min_duplicates > n - 1:
+        raise InfeasibleParams(
+            f"min_duplicates {min_duplicates} exceeds n - 1 = {n - 1} (n = p + q - 1 pieces)")
+    if duplicate_free and 2 * total_length < n * (n + 1):
+        raise InfeasibleParams(
+            f"{n} distinct piece lengths need a line of n(n+1)/2 = {n * (n + 1) // 2}")
+    if duplicate_free and n ** 3 > 160 * total_length:
+        raise InfeasibleParams(
+            f"{n} pieces on a length-{total_length} line expect n^3/(4 total) ="
+            f" {n ** 3 / (4 * total_length):.1f} repeats, past 40: too many to draw none")
 
     rng = random.Random(seed)
     for _ in range(max(1, max_retries)):
         positions = sorted(rng.sample(range(1, total_length), k))
         a_picks = set(rng.sample(range(k), p - 1))
+        lengths = np.sort(np.diff(np.array(positions, np.int64), prepend=0, append=total_length))
+        dupes = int(np.count_nonzero(lengths[1:] == lengths[:-1]))
+        if dupes < min_duplicates or (duplicate_free and dupes):
+            continue
         cuts_a = tuple(positions[t] for t in range(k) if t in a_picks)
         cuts_b = tuple(positions[t] for t in range(k) if t not in a_picks)
-        inst, truth = instance_from_cuts(CutModel(total_length, cuts_a, cuts_b))
-        flat_values = np.sort(inst._flats()[0])
-        dupes = int(np.count_nonzero(flat_values[1:] == flat_values[:-1]))
-        if duplicate_free and dupes:
-            continue
-        if dupes < min_duplicates:
-            continue
-        return inst, truth
+        return instance_from_cuts(CutModel(total_length, cuts_a, cuts_b))
     raise InfeasibleParams(
         f"no instance with the requested duplicate profile after {max_retries} tries")

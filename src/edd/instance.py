@@ -270,6 +270,8 @@ class LabeledInstance:
     stacks them into a CPermutation.  Elements are ordered by (a_owner,
     ascending value), i.e. the flattened AB side.  ``rank`` gives each
     element's place in (value, copy_id) order, a permutation of 0..n-1.
+    It is also the digest graph: element k is an edge from A-fragment
+    ``a_owners[k]`` to B-fragment ``b_owners[k]``.
     """
 
     base: EddInstance
@@ -282,6 +284,20 @@ class LabeledInstance:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @property
+    def p(self) -> int:
+        return self.base.p
+
+    @property
+    def q(self) -> int:
+        return self.base.q
+
+    def node_name(self, ref) -> str:
+        """A digest-graph node's name: A1, B2, or C<value>#<copy> (a NodeRef)."""
+        if ref.kind != "C":
+            return f"{ref.kind}{ref.index + 1}"
+        return f"C{int(self.values[ref.index])}#{int(self.copy_ids[ref.index])}"
 
     @property
     def c_elements(self) -> CPermutation:

@@ -19,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from .digestgraph import (
-    DigestGraph,
     StructureVerdict,
     StructureViolation,
     build_graph,
@@ -209,7 +208,7 @@ def _assemble(spine: np.ndarray, links: np.ndarray, pend_c: np.ndarray,
     return (order, offsets[bpos], offsets[bpos] + counts[bpos], spine[bpos])
 
 
-def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionFamily:
+def dangler_first_search(lab: LabeledInstance, verdict: StructureVerdict) -> SolutionFamily:
     """Read the diameter once, emitting dangler groups as blocks.
 
     Fixed slots carry the diameter's interior C-nodes in walk order; at
@@ -221,7 +220,6 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
     if not verdict.is_tree or verdict.violation is not None:
         raise ValueError("dangler-first search requires a violation-free verdict")
     pay = verdict.payload
-    lab = g.labeled
     empty = np.empty(0, dtype=np.int64)
     if pay.single:
         return SolutionFamily(lab, np.zeros(1, dtype=np.int64), empty, empty, empty)
@@ -240,21 +238,14 @@ def dangler_first_search(g: DigestGraph, verdict: StructureVerdict) -> SolutionF
     return SolutionFamily(lab, order, starts, ends, attach)
 
 
-@dataclass(frozen=True)
-class NoSolution:
-    """Verdict for an unsolvable labeled instance."""
-
-    violation: StructureViolation
-
-
-def solve_labeled(inst: LabeledInstance) -> SolutionFamily | NoSolution:
-    """Run the core pipeline on one labeled instance: build the digest
-    graph, screen its structure, then walk the diameter.  O(n)."""
-    g = build_graph(inst)
-    verdict = check_structure(g)
+def solve_labeled(inst: LabeledInstance) -> SolutionFamily | StructureViolation:
+    """Run the core pipeline on one labeled instance: check it as a
+    digest graph, screen its structure, then walk the diameter; or
+    return the violation that rules out every layout.  O(n)."""
+    verdict = check_structure(build_graph(inst))
     if verdict.violation is not None:
-        return NoSolution(verdict.violation)
-    return dangler_first_search(g, verdict)
+        return verdict.violation
+    return dangler_first_search(inst, verdict)
 
 
 def _next_permutation(arr: list[int]) -> None:
@@ -529,7 +520,8 @@ class SolveResult:
     """Families found per duplicate assignment; behaves as a sequence of
     (assignment-id, family) pairs and is truthy iff solutions exist.
     ``violation_labeling`` is the labeling that gave ``first_violation``,
-    whose witness nodes it names."""
+    whose witness nodes it names; an empty result always has both, as at
+    least one labeling is tried."""
 
     families: list[tuple[int, SolutionFamily]]
     assignments_tried: int
@@ -573,9 +565,9 @@ def solve(inst: EddInstance, *,
     for aid, lab in _distinct_labelings(inst, max_assignments):
         tried += 1
         out = solve_labeled(lab)
-        if isinstance(out, NoSolution):
+        if isinstance(out, StructureViolation):
             if first_violation is None:
-                first_violation, violation_labeling = out.violation, lab
+                first_violation, violation_labeling = out, lab
             continue
         if families:
             if not seen_keys:

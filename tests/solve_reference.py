@@ -7,8 +7,9 @@ assignments that provably relabel one another, and must agree with it:
 the same assignment ids, family keys and verdict.
 """
 
+from edd.digestgraph import StructureViolation
 from edd.instance import label_duplicates
-from edd.solver import NoSolution, SolveResult, solve_labeled
+from edd.solver import SolveResult, solve_labeled
 
 
 def naive_solve(inst, *, max_assignments=None, first_only=False) -> SolveResult:
@@ -18,9 +19,9 @@ def naive_solve(inst, *, max_assignments=None, first_only=False) -> SolveResult:
     for aid, lab in enumerate(label_duplicates(inst, max_assignments)):
         tried += 1
         out = solve_labeled(lab)
-        if isinstance(out, NoSolution):
+        if isinstance(out, StructureViolation):
             if first_violation is None:
-                first_violation, violation_labeling = out.violation, lab
+                first_violation, violation_labeling = out, lab
             continue
         key = out.family_key()
         if key not in seen_keys:
@@ -29,3 +30,12 @@ def naive_solve(inst, *, max_assignments=None, first_only=False) -> SolveResult:
             if first_only:
                 break
     return SolveResult(families, tried, first_violation, violation_labeling)
+
+
+def assert_names_its_violation(res: SolveResult) -> None:
+    """An empty result holds the first violation and the labeling that
+    gave it, which gives that violation again: every labeling tried
+    failed the screen, and at least one is tried."""
+    if not res:
+        assert res.first_violation is not None and res.violation_labeling is not None
+        assert solve_labeled(res.violation_labeling) == res.first_violation

@@ -13,7 +13,6 @@ from edd.digestgraph import (
     DEEP_SUBTREE,
     HAS_CYCLE,
     NOT_CONNECTED,
-    DigestGraph,
     NodeRef,
     StructureVerdict,
     StructureViolation,
@@ -21,9 +20,10 @@ from edd.digestgraph import (
     _extract_cycle,
     _TreePayload,
 )
+from edd.instance import LabeledInstance
 
 
-def reference_structure(g: DigestGraph) -> StructureVerdict:
+def reference_structure(g: LabeledInstance) -> StructureVerdict:
     """The reference engine's verdict, wrapped like ``check_structure``'s."""
     result = _check_python(g)
     if isinstance(result, StructureViolation):
@@ -34,7 +34,7 @@ def reference_structure(g: DigestGraph) -> StructureVerdict:
     return StructureVerdict(True, None, result)
 
 
-def _adjacency(g: DigestGraph):
+def _adjacency(g: LabeledInstance):
     p = g.p
     nn = p + g.q
     adj: list[list[tuple[int, int]]] = [[] for _ in range(nn)]
@@ -72,7 +72,7 @@ def _bfs(adj, start, want_cycle=False):
     return dist, par, pare, order, cycle
 
 
-def _check_python(g: DigestGraph):
+def _check_python(g: LabeledInstance):
     """Returns a _TreePayload, a StructureViolation, or a (payload,
     violation) pair for a tree with a deep subtree."""
     p, q, n = g.p, g.q, g.n
@@ -146,7 +146,7 @@ def _check_python(g: DigestGraph):
 
 
 def _payload_from_parts(g, spine, edges, pendants):
-    lab = g.labeled
+    lab = g
     pendants.sort(key=lambda t: (t[0], int(lab.values[t[1]]), int(lab.copy_ids[t[1]])))
     return _TreePayload(
         False,

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -250,6 +251,7 @@ def test_verify_checks_each_order_once(capsys, demo_file, tmp_path, monkeypatch)
     (["--orders", "MISSING"], "No such file"),
     (["--orders", "KIND"], "line 2: expected PA or PB line"),
     (["--orders", "PA_ONLY"], "solution file needs PA and PB lines"),
+    (["--pa", "1,+99999999999999999999", "--pb", "1 2 3"], "--pa must be a permutation of 1..5"),
 ])
 def test_verify_orders_usage_errors(capsys, demo_file, tmp_path, argv, message):
     files = {"ORDERS": "PA 1 2 3\nPB 1 2 3\n", "KIND": "PA 1 2 3 5 4\nX 1\nPB 1 2 3\n",
@@ -777,3 +779,74 @@ def test_extract_hp_rejects_repeated_order_lines(capsys, tmp_path):
     code = main(["extract-hp", str(gpath), str(sol_file)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", "error: line 3: duplicate PA line\n")
+
+
+def _usage_error(capsys, *argv) -> str:
+    """The one stderr line of a command that must exit 2 and print nothing."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err.count("\n")) == (2, "", 1)
+    return captured.err
+
+
+def test_oracle_json_lists_the_text_layouts_with_pic(capsys, demo_file):
+    code, text = run(capsys, "oracle", demo_file)
+    assert code == 0
+    layouts = []
+    for line in text.splitlines()[1:]:   # after "solutions: 2"
+        name, value = line.split(": ")
+        if name == "solution":
+            layouts.append({})
+        else:
+            layouts[-1][name] = value
+    code, out = run(capsys, "oracle", demo_file, "--json")
+    assert code == 0
+    got = json.loads(out)["solutions"]
+    assert len(got) == len(layouts) == 2
+    for sol, layout in zip(got, layouts):
+        assert {name: " ".join(map(str, sol[name])) for name in layout} == layout
+        # piC is the layout's sub-fragments: it cuts exactly where piA or piB does
+        cuts = [set(accumulate(sol[name])) for name in ("piA", "piB", "piC")]
+        assert cuts[0] | cuts[1] == cuts[2]
+        assert sorted(sol["piC"]) == sorted(v for s in parse_instance(DEMO_TEXT).ab_sets for v in s)
+
+
+@pytest.mark.parametrize("text, line", [("", 1), ("# only a comment\n\n", 2)])
+def test_headerless_file_exit_2(capsys, tmp_path, text, line):
+    path = tmp_path / "headerless.edd"
+    path.write_text(text)
+    assert _usage_error(capsys, "check", str(path)) == \
+        f"error: line {line}: missing 'EDD 1' header\n"
+
+
+@pytest.mark.parametrize("graph, message", [
+    ("GRAPH x\n", "line 1: invalid node count 'x'"),
+    ("GRAPH 2\n1 y\n", "line 2: invalid edge endpoints"),
+])
+def test_reduce_hp_malformed_graph_exit_2(capsys, tmp_path, graph, message):
+    gpath = tmp_path / "bad.graph"
+    gpath.write_text(graph)
+    assert _usage_error(capsys, "reduce-hp", str(gpath)) == f"error: {message}\n"
+
+
+def test_extract_hp_reads_a_reversed_layout(capsys, tmp_path):
+    gpath = tmp_path / "edge.graph"
+    gpath.write_text("GRAPH 2\n1 2\n")
+    red_file = tmp_path / "red.edd"
+    run(capsys, "reduce-hp", str(gpath), "--out", str(red_file))
+    code, out = run(capsys, "solve", str(red_file), "--max-assignments", "100000", "--json")
+    assert code == 0
+    sol = json.loads(out)["families"][0]["solutions"][0]
+    paths = []
+    for step in (1, -1):   # the layout read right to left is the same map
+        sol_file = tmp_path / "sol.txt"
+        sol_file.write_text(f"PA {' '.join(map(str, sol['paIdx'][::step]))}\n"
+                            f"PB {' '.join(map(str, sol['pbIdx'][::step]))}\n")
+        paths.append(run(capsys, "extract-hp", str(gpath), str(sol_file)))
+    assert paths[0] == paths[1] and paths[0][0] == 0 and paths[0][1].startswith("path: ")
+
+
+def test_gen_refuses_more_duplicates_than_pieces_allow(capsys):
+    assert _usage_error(capsys, "gen", "--total", "5", "--seed", "3", "--p", "2", "--q", "2",
+                        "--min-duplicates", "99") == \
+        "error: min_duplicates 99 exceeds n - 1 = 2 (n = p + q - 1 pieces)\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import deque
@@ -59,7 +60,7 @@ PAYLOAD_ARRAYS = ("spine", "links", "pend_c", "pend_pos")
 def test_demo_graph_counts_and_adjacency():
     g = graph_of(demo_instance())
     assert (g.p, g.q, g.n) == (5, 3, 7)
-    assert set(g.labeled.values[g.b_owners == 1].tolist()) == {3, 8, 12, 15}
+    assert set(g.values[g.b_owners == 1].tolist()) == {3, 8, 12, 15}
     assert np.bincount(g.a_owners, minlength=g.p).tolist() == [2, 1, 1, 1, 2]
 
 
@@ -75,6 +76,15 @@ def test_build_graph_rejects_inconsistent_count():
     inst = EddInstance((4, 6), (4, 6), ((4,), (6,)), ((4,), (6,)))
     with pytest.raises(ValueError):
         build_graph(first_labeling(inst))
+
+
+def test_build_graph_rejects_out_of_range_owner():
+    lab = first_labeling(demo_instance())
+    assert build_graph(lab) is lab
+    b_owners = lab.b_owners.copy()
+    b_owners[-1] = lab.q
+    with pytest.raises(ValueError, match="^owner index out of range$"):
+        build_graph(dataclasses.replace(lab, b_owners=b_owners))
 
 
 def test_demo_structure_verdict():

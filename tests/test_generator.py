@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -108,6 +109,29 @@ def test_infeasible_params():
         random_instance(1, 0, 3, 100)
     with pytest.raises(InfeasibleParams):
         random_instance(1, 2, 2, 3, min_duplicates=1, duplicate_free=True)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, 3, 3, 100), {"min_duplicates": 5},
+     "min_duplicates 5 exceeds n - 1 = 4 (n = p + q - 1 pieces)"),
+    ((1, 1, 1, 50), {"min_duplicates": 1},
+     "min_duplicates 1 exceeds n - 1 = 0 (n = p + q - 1 pieces)"),
+    ((1, 3, 3, 14), {"duplicate_free": True},
+     "5 distinct piece lengths need a line of n(n+1)/2 = 15"),
+    ((1, 100_001, 99_999, 4 * 10**13), {"duplicate_free": True},
+     "199999 pieces on a length-40000000000000 line expect n^3/(4 total) = 50.0 repeats"),
+])
+def test_hopeless_profiles_refused_before_any_draw(monkeypatch, args, kwargs, message):
+    import edd.generator as generator
+    monkeypatch.setattr(generator, "random", None)   # any draw would fail on it
+    with pytest.raises(InfeasibleParams, match=f"^{re.escape(message)}"):
+        random_instance(*args, **kwargs)
+
+
+def test_duplicate_free_at_the_smallest_line_draws():
+    # 3 pieces of 1, 2 and 3: the bound n(n+1)/2 is met, and some draw meets it
+    inst, _ = random_instance(2, 2, 2, 6, duplicate_free=True)
+    assert sorted(v for s in inst.ab_sets for v in s) == [1, 2, 3]
 
 
 def test_ground_truth_among_solver_output():

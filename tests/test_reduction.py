@@ -18,7 +18,7 @@ from edd.reduction import (
 )
 from edd.solver import expand_family, solve
 
-from solve_reference import naive_solve
+from solve_reference import assert_names_its_violation, naive_solve
 
 
 def path_graph(n):
@@ -149,6 +149,8 @@ def test_reduction_equivalence_tiny():
         assert bool(fast) == expected
         naive = naive_solve(red.instance, first_only=True)
         assert bool(naive) == expected
+        assert_names_its_violation(fast)
+        assert_names_its_violation(naive)
         if expected:
             for pi_a, _pi_b, _c_order in expand_family(fast[0][1]):
                 path = extract_path(pi_a, h)

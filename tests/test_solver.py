@@ -1,15 +1,17 @@
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from edd.cli import main
-from edd.digestgraph import HAS_CYCLE, build_graph, check_structure
+from edd.digestgraph import HAS_CYCLE, StructureViolation, build_graph, check_structure
 from edd.generator import InfeasibleParams, random_instance
 from edd.instance import (
     AssignmentCapExceeded,
@@ -20,7 +22,6 @@ from edd.instance import (
 )
 from edd.solver import (
     FamilyExpansion,
-    NoSolution,
     NotConsecutiveError,
     Solution,
     SolutionFamily,
@@ -39,7 +40,7 @@ from edd.solver import (
 from edd.reduction import complete_graph, serialize_graph
 from edd.verifier import brute_force_solve, verify_permutation
 
-from solve_reference import naive_solve
+from solve_reference import assert_names_its_violation, naive_solve
 
 from conftest import (
     deep_subtree_instance,
@@ -126,8 +127,8 @@ def test_dup_tree_assignment_family_merges_terminals():
 def test_dup_cycle_assignment_rejected():
     labs = list(label_duplicates(dup_instance()))
     out = solve_labeled(labs[1])
-    assert isinstance(out, NoSolution)
-    assert out.violation.kind == HAS_CYCLE
+    assert isinstance(out, StructureViolation)
+    assert out.kind == HAS_CYCLE
 
 
 def test_reversed_pendant_order_matches_lexsort():
@@ -195,7 +196,7 @@ def test_solve_unsolvable_instances():
         res = solve(inst)
         assert not res
         assert res.first_violation is not None
-        assert solve_labeled(res.violation_labeling).violation == res.first_violation
+        assert solve_labeled(res.violation_labeling) == res.first_violation
         assert brute_force_solve(inst) == []
 
 
@@ -402,6 +403,25 @@ def test_structural_dedup_matches_naive():
         assert [aid for aid, _ in fast] == [aid for aid, _ in naive]
         assert [fam.family_key() for _, fam in fast] == [fam.family_key() for _, fam in naive]
         assert bool(fast) == bool(naive)
+
+
+def test_empty_results_name_their_violation():
+    # generated maps have a layout; moving one sub-fragment takes it from most
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import break_layout
+    empty = 0
+    for seed in range(100):
+        p, q = 2 + seed % 4, 2 + (seed // 4) % 4
+        inst, truth = random_instance(seed, p, q, 3 * (p + q) + seed % 20)
+        try:
+            cases = [inst, break_layout(inst, truth, random.Random(seed))]
+        except ValueError:   # no sub-fragment can move
+            cases = [inst]
+        for case in cases:
+            for res in (solve(case, max_assignments=None), naive_solve(case)):
+                assert_names_its_violation(res)
+                empty += not res
+    assert empty >= 100   # 50 maps with no layout, each solved two ways
 
 
 def test_solve_assignment_cap():

@@ -28,18 +28,18 @@ shared machine drifts; each stage and e2e row keeps its runs, their
 median and their min.  A side is measured in two child processes:
 
 - stages, all in one process: read the file and ``parse_instance`` it
-  as ``cli._load_instance`` does (``cli._read_file`` into a bytearray, or
-  on a side from before that reader, a text-mode read), their sum as
-  ``read+parse``,
-  ``validate_consistency``, ``_labeling_plan``, the first labeling
-  (``_labeling`` with identity matchings; it takes the plan's identity
-  labeling and groups, or on a side from before the plan was a
-  labeling, the instance and the whole plan), the structure screen
-  (``build_graph`` + ``check_structure``), ``dangler_first_search``, the
-  family's ``--emit-families`` line (its values as a list, then
-  ``cli._family_notation``) and rendering the text of the first layout
-  (``cli._write_layouts`` into a sink that drops it, or on a side from
-  before it, the four lines of ``cli._family_layouts``); the last three
+  as ``cli._load_instance`` does (``cli._read_file`` into a bytearray),
+  their sum as ``read+parse``, ``validate_consistency``,
+  ``_labeling_plan``, the first labeling as ``solve`` builds it, plan
+  included (the first item of ``solver._distinct_labelings`` under the
+  default assignment cap; on a map whose classes pass the cap, the time
+  until it raises ``AssignmentCapExceeded``, as ``solve`` does, and the
+  plan's identity labeling goes on to the screen), the structure screen
+  (``check_structure``, on the labeling that an untimed ``build_graph``
+  checked), ``dangler_first_search``, the family's ``--emit-families``
+  line (its values as a list, then ``cli._family_notation``) and
+  rendering the text of the first layout
+  (``cli._write_layouts`` into a sink that drops it); the last three
   only when the screen finds no violation; and on a map with an orders
   file, ``verify_permutation`` of those orders, on an instance parsed
   afresh (untimed) so that it ranks its flats as ``edd verify`` does.
@@ -85,30 +85,28 @@ STAGES = ("read", "parse", "read+parse", "validate", "plan", "label", "screen", 
 E2E = ("e2e_solve", "e2e_verify")
 
 STAGE_CODE = r'''
-import inspect, json, resource, statistics, sys, time
+import json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
-from edd import cli
+from edd import cli, solver
 from edd.digestgraph import build_graph, check_structure
-from edd.instance import _labeling, _labeling_plan, parse_instance, validate_consistency
-from edd.solver import dangler_first_search, expand_family
+from edd.instance import AssignmentCapExceeded, _labeling_plan, parse_instance, validate_consistency
+from edd.solver import DEFAULT_MAX_ASSIGNMENTS, dangler_first_search, expand_family
 from edd.verifier import verify_permutation
 
 path, reps, orders = sys.argv[2], int(sys.argv[3]), sys.argv[4:]
 times, faults = {}, {}
 
 def read():
-    if "ascii_bytes" in inspect.signature(cli._read_file).parameters:
-        return cli._read_file(path, ascii_bytes=True)
-    with open(path, encoding="utf-8") as fh:   # a side from before the bytes reader
-        return fh.read()
+    return cli._read_file(path, ascii_bytes=True)
 
 def timed(name, fn):
     flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
-    out = fn()
-    times.setdefault(name, []).append(time.perf_counter() - start)
-    faults.setdefault(name, []).append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
-    return out
+    try:
+        return fn()
+    finally:
+        times.setdefault(name, []).append(time.perf_counter() - start)
+        faults.setdefault(name, []).append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
 
 for _ in range(reps):
     text = timed("read", read)
@@ -118,20 +116,17 @@ for _ in range(reps):
         table.setdefault("read+parse", []).append(table["read"][-1] + table["parse"][-1])
     timed("validate", lambda: validate_consistency(inst))
     plan = timed("plan", lambda: _labeling_plan(inst))
-    old = hasattr(plan, "groups")   # a _LabelingPlan, not (identity labeling, groups)
-    args = (inst, plan) if old else plan
-    groups = plan.groups if old else plan[1]
-    lab = timed("label", lambda: _labeling(*args, [range(len(c)) for c, _ in groups]))
+    try:
+        _aid, lab = timed("label", lambda: next(solver._distinct_labelings(inst, DEFAULT_MAX_ASSIGNMENTS)))
+    except AssignmentCapExceeded:   # where solve stops; screen the identity labeling
+        lab = plan[0]
     g = build_graph(lab)
     verdict = timed("screen", lambda: check_structure(g))
     if verdict.violation is None:
         fam = timed("dangler", lambda: dangler_first_search(g, verdict))
         timed("notation", lambda: f"family: {cli._family_notation(fam, fam.c_value_array().tolist())}")
-        if hasattr(cli, "_family_layouts"):   # a side from before _write_layouts
-            timed("render", lambda: next(cli._family_layouts(inst, expand_family(fam, 1), False)))
-        else:
-            timed("render", lambda: cli._write_layouts(inst, expand_family(fam, 1), lambda text: None))
-    del inst, plan, args, groups, lab, g, verdict
+        timed("render", lambda: cli._write_layouts(inst, expand_family(fam, 1), lambda text: None))
+    del inst, plan, lab, g, verdict
     if orders:
         fresh = parse_instance(read())
         pa, pb = cli._read_orders(orders[0], fresh.p, fresh.q)

@@ -105,7 +105,7 @@ def _contracted_ref(p: int, node: int) -> NodeRef:
 @dataclass(eq=False)
 class StructureVerdict:
     """Outcome of the tree-plus-danglers screening: ``payload`` is the
-    diameter decomposition whenever ``is_tree`` holds."""
+    diameter decomposition of a tree that passes, else None."""
 
     is_tree: bool
     violation: StructureViolation | None
@@ -140,9 +140,9 @@ def check_structure(g: LabeledInstance) -> StructureVerdict:
     the smallest leaf, or, when both ends are as far, from the end whose
     smallest leaf is the larger.  Any other tree is DEEP_SUBTREE (a
     stripped node lies off every longest path), and ``_deep_subtree``
-    names the witness and the payload by the distance passes.  A tree's
-    verdict carries the diameter as the spine, link and pendant arrays
-    of ``_TreePayload``, the pendants ordered by one sort of (spine
+    names the witness by the distance passes.  A passing tree's verdict
+    carries the diameter as the spine, link and pendant arrays of
+    ``_TreePayload``, the pendants ordered by one sort of (spine
     position, rank) keys, the rank being the labeling's (value, copy)
     order.  O(n log n) array work, with no Python loop over nodes.
     """
@@ -198,8 +198,10 @@ def check_structure(g: LabeledInstance) -> StructureVerdict:
         spine, links = spine[::-1], links[::-1]
         place[spine] = np.arange(m + 1)
     pend_c = np.flatnonzero(leafy)
-    payload = _tree_payload(g, spine, links, pend_c, place[anchor[u[pend_c]]])
-    return StructureVerdict(True, None, payload)
+    pend_pos = place[anchor[u[pend_c]]]
+    by_pos = np.argsort(pend_pos * n + g.rank[pend_c])
+    return StructureVerdict(True, None, _TreePayload(False, spine, links, pend_c[by_pos],
+                                                     pend_pos[by_pos]))
 
 
 def _end_leaf(leaf: np.ndarray, anchor: np.ndarray, end: int) -> int:
@@ -207,14 +209,8 @@ def _end_leaf(leaf: np.ndarray, anchor: np.ndarray, end: int) -> int:
     return int(np.argmax(leaf & (anchor == end)))
 
 
-def _tree_payload(g: LabeledInstance, spine, links, pend_c, pend_pos) -> _TreePayload:
-    """The payload, its pendants sorted by (spine position, rank)."""
-    by_pos = np.argsort(pend_pos * g.n + g.rank[pend_c])
-    return _TreePayload(False, spine, links, pend_c[by_pos], pend_pos[by_pos])
-
-
 def _deep_subtree(g: LabeledInstance, depth_seq, first_at, leaf) -> StructureVerdict:
-    """DEEP_SUBTREE on a tree that is no caterpillar, with its payload.
+    """DEEP_SUBTREE on a tree that is no caterpillar, with no payload.
 
     The diameter is found by two farthest-node passes from the smallest
     leaf, each breaking ties toward the smallest node id.  Distances come
@@ -240,28 +236,12 @@ def _deep_subtree(g: LabeledInstance, depth_seq, first_at, leaf) -> StructureVer
     e1 = int(np.argmax(dist_from(start)))
     d_e1 = dist_from(e1)
     e2 = int(np.argmax(d_e1))
-    # the diameter is read from e2; pos[x] is x's distance from e2
-    pos = dist_from(e2)
-    length = int(d_e1[e2])
-    on_diam = pos + d_e1 == length
+    on_diam = dist_from(e2) + d_e1 == int(d_e1[e2])
     on_u, on_w = on_diam[u], on_diam[w]
-    diam_edges = np.flatnonzero(on_u & on_w)
-    edges = np.empty(length, np.int64)
-    edges[np.minimum(pos[u[diam_edges]], pos[w[diam_edges]])] = diam_edges
-    path = np.empty(length + 1, np.int64)
-    diam_nodes = np.flatnonzero(on_diam)
-    path[pos[diam_nodes]] = diam_nodes
-
     hanging = np.flatnonzero(on_u ^ on_w)
-    att = np.where(on_u[hanging], u[hanging], w[hanging])
     tip = np.where(on_u[hanging], w[hanging], u[hanging])
-    deep = ~leaf[tip]
-    # the two diameter terminals join the end blocks like any other pendant
-    pend_c = np.concatenate((hanging[~deep], edges[[0, -1]]))
-    pend_pos = np.concatenate((pos[att[~deep]], pos[path[[1, -2]]])) - 1
-    payload = _tree_payload(g, path[1:-1], edges[1:-1], pend_c, pend_pos)
-    return StructureVerdict(True, StructureViolation(
-        DEEP_SUBTREE, (NodeRef("C", int(hanging[deep][0])),)), payload)
+    witness = NodeRef("C", int(hanging[~leaf[tip]][0]))   # the smallest deep hanging edge
+    return StructureVerdict(True, StructureViolation(DEEP_SUBTREE, (witness,)), None)
 
 
 def _tour_places(walk: np.ndarray, head: np.ndarray, anchor: np.ndarray):

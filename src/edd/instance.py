@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import os
 import threading
+from bisect import bisect_left, insort
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -429,18 +430,17 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_parts(text: str | bytearray, cut: int) -> list:
+def _read_parts(buf: bytearray, cut: int) -> list:
     """``_read_part`` of each part of a document that starts with its
-    header: the whole text when ``cut`` is -1, else the text up to the
-    newline at ``cut`` and the text from that newline on.
+    header: the whole buffer when ``cut`` is -1, else the buffer up to
+    the newline at ``cut`` and the buffer from that newline on.
 
-    The text, a bytearray in place or a ``str`` copied once, gets its
-    header blanked and a ``0 `` sentinel line after each part, so that
-    each part ends in its own sentinel and the second starts with the
-    newline.  The second part is read in a thread of its own, which is
-    joined before this returns or raises, and whose exception is raised here.
+    The buffer, read in place, gets its header blanked and a ``0 ``
+    sentinel line after each part, so that each part ends in its own
+    sentinel and the second starts with the newline.  The second part is
+    read in a thread of its own, which is joined before this returns or
+    raises, and whose exception is raised here.
     """
-    buf = text if isinstance(text, bytearray) else bytearray(text, "ascii")
     buf[:5] = b"     "
     buf += b"0 " if buf.endswith(b"\n") else b"\n0 "
     if cut < 0:
@@ -810,38 +810,123 @@ def label_duplicates(inst: EddInstance,
     between its AB-side and BA-side copies are combined across values
     (values ascending, later values varying fastest; bijections in
     lexicographic order).  Yields lazily; raises AssignmentCapExceeded
-    up front if the total exceeds ``max_assignments``.
+    up front if the total exceeds ``max_assignments``.  It is
+    ``_labelings`` with each copy and slot its own label and class.
     """
     ident, groups = _labeling_plan(inst)
     if max_assignments is not None:
         total = count_assignments(inst)
         if total > max_assignments:
             raise AssignmentCapExceeded(total, max_assignments)
-    return (_labeling(ident, groups, combo) for combo in _bijections([len(c) for c, _ in groups]))
+    return (lab for _aid, lab in _labelings(ident, groups,
+                                            lambda cpos, _owners: (range(len(cpos)),) * 2))
 
 
-def _bijections(sizes: list[int]) -> Iterator[tuple]:
-    """``product(*(permutations(range(m)) for m in sizes))`` as an odometer:
-    ``product`` would hold all of each group's permutations (9! for 9 copies)."""
-    steps = [permutations(range(m)) for m in sizes]
-    combo = [next(step) for step in steps]
-    while True:
-        yield tuple(combo)
-        k = len(steps) - 1
-        while k >= 0 and (nxt := next(steps[k], None)) is None:
-            steps[k] = permutations(range(sizes[k]))
-            combo[k] = next(steps[k])
-            k -= 1
-        if k < 0:
-            return
-        combo[k] = nxt
+def _labelings(ident: LabeledInstance, groups, labels) -> Iterator[tuple[int, LabeledInstance]]:
+    """(assignment id, labeling) for each combination of the groups'
+    ``_distinct_matchings`` classes, the last group fastest.  The id is
+    the mixed-radix number of the groups' ranks, radix m! for m copies:
+    the place of the class's first assignment in ``label_duplicates``.
 
-
-def _labeling(ident: LabeledInstance, groups, perms) -> LabeledInstance:
-    """The labeling that gives each group's t-th AB-side copy the BA-side
-    owner ``owners[perm[t]]``, one perm per group."""
+    ``labels(cpos, owners)`` gives a group's (AB-side, BA-side) labels
+    whenever its classes start over, as every later group's do when a
+    group steps.  Only the groups that moved rewrite their copies'
+    ``b_owners``: the t-th AB-side copy takes ``owners[perm[t]]``.
+    """
+    radices = [math.factorial(len(cpos)) for cpos, _ in groups]
+    streams, ranks = [None] * len(groups), [0] * len(groups)
     b_own = ident.b_owners.copy()
-    for (cpos, owners), perm in zip(groups, perms):
-        for t, s in enumerate(perm):
-            b_own[cpos[t]] = owners[s]
-    return replace(ident, b_owners=b_own)
+    moved, record = 0, None   # the group that stepped, and to which class
+    while True:
+        for g in range(moved, len(groups)):
+            if record is None:   # each group after ``moved`` starts over
+                streams[g] = _distinct_matchings(*labels(*groups[g]))
+                record = next(streams[g])
+            ranks[g], first, tail = record
+            cpos, owners = groups[g]
+            for t, s in enumerate(tail, start=first):
+                b_own[cpos[t]] = owners[s]
+            record = None
+        aid = 0
+        for rank, radix in zip(ranks, radices):
+            aid = aid * radix + rank
+        yield aid, replace(ident, b_owners=b_own.copy())
+        moved = len(groups) - 1
+        while moved >= 0 and (record := next(streams[moved], None)) is None:
+            moved -= 1
+        if moved < 0:
+            return
+
+
+def _distinct_matchings(a_labels, b_labels) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """One representative bijection per distinct pairing multiset.
+
+    Bijections pairing the same multiset of (AB-side label, BA-side
+    label) produce digest graphs identical up to renaming interchangeable
+    fragments, hence identical value-level families.  Each class is
+    represented by its first bijection in lexicographic order.  Yields
+    a (rank, first, tail) record per class, ranks ascending: ``rank`` is
+    the place in the full lexicographic enumeration, ``first`` the first
+    position where the perm differs from the previous class's (0 for the
+    first class), ``tail`` perm[first:].  With every label distinct on
+    both sides, each bijection is its own class.
+
+    One depth-first search in lexicographic order lists just these:
+    position t takes some BA-side label's smallest free slot, labels
+    ascending by that slot, and bans for later positions with its AB-side
+    label the labels tried before at t (swapping them would give a
+    smaller bijection of the same class).  Ranks accumulate by Horner's
+    rule over the free slots below each pick.
+    """
+    m = len(a_labels)
+    slots: dict = {}   # BA-side label -> its free slots, descending
+    for s in range(m - 1, -1, -1):
+        slots.setdefault(b_labels[s], []).append(s)
+    heads = sorted((ss[-1], label) for label, ss in slots.items())   # (smallest free slot, label)
+    free = list(range(m))
+    banned = {a: set() for a in a_labels}   # AB-side label -> BA-side labels it may not take
+    perm = [0] * m
+
+    def picks(t: int, rank: int):
+        """Take in turn each label position t may take; yield each pick's rank so far."""
+        ban = banned[a_labels[t]]
+        tried = []
+        i = 0
+        while i < len(heads):
+            s, label = heads[i]
+            if label in ban:
+                i += 1
+                continue
+            below = bisect_left(free, s)
+            del free[below], heads[i]
+            own = slots[label]
+            own.pop()
+            if own:
+                insort(heads, (own[-1], label))
+            perm[t] = s
+            yield rank * (m - t) + below
+            if own:
+                del heads[bisect_left(heads, (own[-1], label))]
+            own.append(s)
+            heads.insert(i, (s, label))
+            free.insert(below, s)
+            ban.add(label)
+            tried.append(label)
+            i += 1
+        ban.difference_update(tried)
+
+    # depth-first, one generator per depth on an explicit stack: the
+    # depth is the number of copies, past Python's recursion limit
+    stack = [picks(0, 0)]
+    first = 0   # the shallowest position picked again since the last class
+    while stack:
+        rank = next(stack[-1], None)
+        if rank is None:
+            stack.pop()
+            continue
+        first = min(first, len(stack) - 1)
+        if len(stack) < m:
+            stack.append(picks(len(stack), rank))
+        else:
+            yield rank, first, tuple(perm[first:])
+            first = m

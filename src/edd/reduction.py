@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .instance import EddInstance, ParseError, validate_consistency
-from .solver import Solution
 
 
 class MalformedSolution(RuntimeError):
@@ -183,15 +182,14 @@ def reduce_graph(h: SimpleGraph) -> ReducedInstance:
     return ReducedInstance(inst, aug, tuple(a_nodes), tuple(b_nodes))
 
 
-def extract_path(sol: Solution | Sequence[int], h: SimpleGraph) -> tuple[int, ...]:
-    """Read a Hamiltonian path of ``h`` off a valid layout of reduce_graph(h).
+def extract_path(pi_a: Sequence[int], h: SimpleGraph) -> tuple[int, ...]:
+    """Read a Hamiltonian path of ``h`` off the A-fragment order ``pi_a`` of reduce_graph(h).
 
     Consecutive A-fragments must be adjacent augmented nodes and the
     tail must sit at one end; anything else raises MalformedSolution.
     A-fragment i encodes node i + 1.
     """
     aug = augment(h)
-    pi_a = tuple(sol.pi_a) if isinstance(sol, Solution) else tuple(sol)
     if sorted(pi_a) != list(range(aug.node_count)):
         raise MalformedSolution("pi_a is not a permutation of the A-fragments")
     nodes = [int(i) + 1 for i in pi_a]

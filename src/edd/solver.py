@@ -11,8 +11,7 @@ class of duplicate assignments that relabel one another.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice, product, repeat
 from typing import Iterator
 
@@ -29,7 +28,9 @@ from .instance import (
     CPermutation,
     EddInstance,
     LabeledInstance,
+    _distinct_matchings,
     _labeling_plan,
+    _labelings,
 )
 
 DEFAULT_MAX_ASSIGNMENTS = 10_080  # 7! * 2
@@ -401,118 +402,33 @@ def expand_family(fam: SolutionFamily,
 
 # --- duplicate assignments -------------------------------------------------
 
-def _distinct_matchings(a_labels, b_labels, cap: int | None):
-    """One representative bijection per distinct pairing multiset.
-
-    Bijections pairing the same multiset of (AB-side label, BA-side
-    label) produce digest graphs identical up to renaming interchangeable
-    fragments, hence identical value-level families.  Each class is
-    represented by its first bijection in lexicographic order.  Returns
-    a (rank, first, tail) record per class, ranks ascending; with a cap c,
-    the first c + 1.  ``rank`` is the place in the full lexicographic
-    enumeration, ``first`` the first position where the perm differs from
-    the previous class's (0 for the first class), ``tail`` perm[first:].
-
-    One depth-first search in lexicographic order lists just these:
-    position t takes some BA-side label's smallest free slot, labels
-    ascending by that slot, and bans for later positions with its AB-side
-    label the labels tried before at t (swapping them would give a
-    smaller bijection of the same class).  Ranks accumulate by Horner's
-    rule over the free slots below each pick.
-    """
-    m = len(a_labels)
-    slots: dict = {}   # BA-side label -> its free slots, descending
-    for s in range(m - 1, -1, -1):
-        slots.setdefault(b_labels[s], []).append(s)
-    heads = sorted((ss[-1], label) for label, ss in slots.items())   # (smallest free slot, label)
-    free = list(range(m))
-    banned = {a: set() for a in a_labels}   # AB-side label -> BA-side labels it may not take
-    perm = [0] * m
-    out: list[tuple[int, int, tuple[int, ...]]] = []
-
-    def picks(t: int, rank: int):
-        """Take in turn each label position t may take; yield each pick's rank so far."""
-        ban = banned[a_labels[t]]
-        tried = []
-        i = 0
-        while i < len(heads):
-            s, label = heads[i]
-            if label in ban:
-                i += 1
-                continue
-            below = bisect_left(free, s)
-            del free[below], heads[i]
-            own = slots[label]
-            own.pop()
-            if own:
-                insort(heads, (own[-1], label))
-            perm[t] = s
-            yield rank * (m - t) + below
-            if own:
-                del heads[bisect_left(heads, (own[-1], label))]
-            own.append(s)
-            heads.insert(i, (s, label))
-            free.insert(below, s)
-            ban.add(label)
-            tried.append(label)
-            i += 1
-        ban.difference_update(tried)
-
-    # depth-first, one generator per depth on an explicit stack: the
-    # depth is the number of copies, past Python's recursion limit
-    stack = [picks(0, 0)]
-    first = 0   # the shallowest position picked again since the last class
-    while stack and (cap is None or len(out) <= cap):
-        rank = next(stack[-1], None)
-        if rank is None:
-            stack.pop()
-            continue
-        first = min(first, len(stack) - 1)
-        if len(stack) < m:
-            stack.append(picks(len(stack), rank))
-        else:
-            out.append((rank, first, tuple(perm[first:])))
-            first = m
-    return out
-
-
 def _distinct_labelings(inst: EddInstance, max_assignments: int | None):
     """(assignment id, labeling) for one assignment per class of
-    assignments that provably relabel one another, ids ascending.
+    assignments that provably relabel one another, ids ascending: the
+    classes of ``_distinct_matchings``, streamed by ``_labelings``.
 
     A copy's label is -1 when its owner fragment has one sub-length
     (such fragments of one length are interchangeable), else its owner.
     Raises AssignmentCapExceeded before the first labeling if the
-    representatives exceed ``max_assignments``.
+    representatives exceed ``max_assignments``: the product of the
+    groups' classes, each counted to one past the cap, is checked as it grows.
     """
     ident, groups = _labeling_plan(inst)
     _, _, ab_offsets, _, _, ba_offsets = inst._flats()
     a_label = np.where(np.diff(ab_offsets)[ident.a_owners] == 1, -1, ident.a_owners)
     b_label = np.where(np.diff(ba_offsets) == 1, -1, np.arange(inst.q))
-    per_group, total = [], 1
-    radices = [math.factorial(len(cpos)) for cpos, _ in groups]
-    for cpos, owners in groups:
-        matchings = _distinct_matchings(a_label[cpos].tolist(), b_label[owners].tolist(),
-                                        max_assignments)
-        per_group.append(matchings)
-        total *= len(matchings)
-        if max_assignments is not None and total > max_assignments:
-            raise AssignmentCapExceeded(total, max_assignments, distinct=True)
 
-    # a group's class stays, steps to the next (whose record rewrites the
-    # perm from its first change) or goes back to the first (a whole perm)
-    b_own, at = ident.b_owners.copy(), [-1] * len(per_group)
-    for combo in product(*map(range, map(len, per_group))):
-        aid = 0
-        for g, (records, k, radix) in enumerate(zip(per_group, combo, radices)):
-            rank, first, tail = records[k]
-            if k != at[g]:
-                cpos, owners = groups[g]
-                for t, s in enumerate(tail, start=first):
-                    b_own[cpos[t]] = owners[s]
-            aid = aid * radix + rank
-        at = combo
-        yield aid, replace(ident, b_owners=b_own.copy())
+    def labels(cpos, owners):   # per group, so that no group's labels outlive its search
+        return a_label[cpos].tolist(), b_label[owners].tolist()
+
+    if max_assignments is not None:
+        total = 1
+        for group in groups:
+            total *= sum(1 for _ in islice(_distinct_matchings(*labels(*group)),
+                                           max_assignments + 1))
+            if total > max_assignments:
+                raise AssignmentCapExceeded(total, max_assignments, distinct=True)
+    return _labelings(ident, groups, labels)
 
 
 @dataclass(eq=False)

@@ -28,9 +28,6 @@ def reference_structure(g: LabeledInstance) -> StructureVerdict:
     result = _check_python(g)
     if isinstance(result, StructureViolation):
         return StructureVerdict(result.kind == DEEP_SUBTREE, result, None)
-    if isinstance(result, tuple):
-        payload, violation = result
-        return StructureVerdict(True, violation, payload)
     return StructureVerdict(True, None, result)
 
 
@@ -73,8 +70,8 @@ def _bfs(adj, start, want_cycle=False):
 
 
 def _check_python(g: LabeledInstance):
-    """Returns a _TreePayload, a StructureViolation, or a (payload,
-    violation) pair for a tree with a deep subtree."""
+    """Returns a _TreePayload or a StructureViolation; a tree with a
+    deep subtree has no payload."""
     p, q, n = g.p, g.q, g.n
     if n == 1:
         empty = np.empty(0, np.int64)
@@ -133,16 +130,14 @@ def _check_python(g: LabeledInstance):
         else:
             pendants.append((pos[att], k))
 
-    complete = len(edges) + len(pendants) == n
+    if deep:
+        return StructureViolation(DEEP_SUBTREE, (NodeRef("C", min(deep)),))
+    if len(edges) + len(pendants) != n:
+        raise AssertionError("node accounting failed on a clean tree")
     # the two diameter terminals join the end blocks like any other pendant
     pendants.append((0, edges[0]))
     pendants.append((len(spine) - 1, edges[-1]))
-    payload = _payload_from_parts(g, spine, edges, pendants)
-    if deep:
-        return payload, StructureViolation(DEEP_SUBTREE, (NodeRef("C", min(deep)),))
-    if not complete:
-        raise AssertionError("node accounting failed on a clean tree")
-    return payload
+    return _payload_from_parts(g, spine, edges, pendants)
 
 
 def _payload_from_parts(g, spine, edges, pendants):

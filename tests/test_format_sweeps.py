@@ -507,9 +507,9 @@ def test_serialized_documents_in_two_parts(monkeypatch, two_parts):
 def test_every_cut_reads_as_one_part(text):
     """With the cut on each newline in turn, next to lines of zero to
     two bytes among them, the two parts read what one part reads."""
-    [one] = instance._read_parts(text, -1)
+    [one] = instance._read_parts(bytearray(text, "ascii"), -1)
     for cut in [k for k, c in enumerate(text) if c == "\n"]:
-        parts = instance._read_parts(text, cut)
+        parts = instance._read_parts(bytearray(text, "ascii"), cut)
         if one is None:
             assert None in parts, cut
             continue

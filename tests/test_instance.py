@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import islice, permutations, product, zip_longest
 
 import numpy as np
@@ -19,7 +20,6 @@ from edd.instance import (
     label_duplicates,
     parse_instance,
     serialize_instance,
-    _labeling,
     _labeling_plan,
     _rank,
     validate_consistency,
@@ -192,8 +192,11 @@ def _old_labelings(inst):
     """Every labeling in the order ``itertools.product`` over each
     group's permutations gives them."""
     ident, groups = _labeling_plan(inst)
-    return (_labeling(ident, groups, combo)
-            for combo in product(*(permutations(range(len(c))) for c, _ in groups)))
+    for combo in product(*(permutations(range(len(c))) for c, _ in groups)):
+        b_own = ident.b_owners.copy()
+        for (cpos, owners), perm in zip(groups, combo):
+            b_own[cpos] = [owners[s] for s in perm]
+        yield replace(ident, b_owners=b_own)
 
 
 def _same_labelings(got, want):

@@ -3,7 +3,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,10 +12,12 @@ import pytest
 
 from edd.cli import main
 from edd.digestgraph import HAS_CYCLE, StructureViolation, build_graph, check_structure
-from edd.generator import InfeasibleParams, random_instance
+from edd.generator import CutModel, InfeasibleParams, instance_from_cuts, random_instance
 from edd.instance import (
     AssignmentCapExceeded,
     EddInstance,
+    _labeling_plan,
+    count_assignments,
     label_duplicates,
     parse_instance,
     serialize_instance,
@@ -27,6 +29,7 @@ from edd.solver import (
     SolutionFamily,
     _assemble,
     _dedupe_runs,
+    _distinct_labelings,
     _lex_less,
     _order_count,
     canonical_key,
@@ -37,7 +40,7 @@ from edd.solver import (
     solve,
     solve_labeled,
 )
-from edd.reduction import complete_graph, serialize_graph
+from edd.reduction import complete_graph, reduce_graph, serialize_graph
 from edd.verifier import brute_force_solve, verify_permutation
 
 from solve_reference import assert_names_its_violation, naive_solve
@@ -548,7 +551,7 @@ def _perms_of_records(records):
 def test_distinct_matching_strategies_agree():
     import random as _random
 
-    from edd.solver import _distinct_matchings
+    from edd.instance import _distinct_matchings
 
     rng = _random.Random(0)
     pool = [("s",), ("f", 1), ("f", 2), ("f", 3), ("f", 4)]
@@ -562,13 +565,75 @@ def test_distinct_matching_strategies_agree():
     cases.append(([rng.choice(pool) for _ in range(9)], [rng.choice(pool) for _ in range(9)]))
     for al, bl in cases:
         full = _distinct_by_scan(al, bl)
-        assert _perms_of_records(_distinct_matchings(al, bl, None)) == full
-        # a capped list is the first cap + 1 classes
+        assert _perms_of_records(_distinct_matchings(al, bl)) == full
+        # the stream cut after cap + 1 classes is their first cap + 1
         cap = rng.randint(1, len(full))
-        assert _perms_of_records(_distinct_matchings(al, bl, cap)) == full[:cap + 1]
+        assert _perms_of_records(islice(_distinct_matchings(al, bl), cap + 1)) == full[:cap + 1]
     # symmetric cases collapse completely
-    assert len(_distinct_matchings([("f", i) for i in range(10)],
-                                   [("s",)] * 10, None)) == 1
+    assert sum(1 for _ in _distinct_matchings([("f", i) for i in range(10)],
+                                              [("s",)] * 10)) == 1
+
+
+def _nth_labeling_owners(inst, aid):
+    """``b_owners`` of the aid-th labeling of ``label_duplicates``,
+    unranked: the id's mixed-radix digits, radix m! per group of m
+    copies, are each group's place among its bijections in
+    lexicographic order."""
+    ident, groups = _labeling_plan(inst)
+    b_own = ident.b_owners.copy()
+    for cpos, owners in reversed(groups):
+        aid, rank = divmod(aid, math.factorial(len(cpos)))
+        free, perm = list(range(len(cpos))), []
+        for t in range(len(cpos) - 1, -1, -1):
+            k, rank = divmod(rank, math.factorial(t))
+            perm.append(free.pop(k))
+        b_own[cpos] = [owners[s] for s in perm]
+    assert aid == 0
+    return b_own
+
+
+def test_distinct_labeling_ids_index_label_duplicates():
+    """Every class the solver screens, failing ones too, is the
+    labeling of ``label_duplicates`` that its id numbers."""
+    cases = [dup_instance(), multi_dup_instance(),
+             reduce_graph(complete_graph(3)).instance, reduce_graph(complete_graph(4)).instance]
+    cases += [random_instance(seed, 4, 5, 16, min_duplicates=2)[0] for seed in range(30)]
+    for inst in cases:
+        got = list(_distinct_labelings(inst, None))
+        assert [aid for aid, _ in got] == sorted({aid for aid, _ in got})
+        if count_assignments(inst) <= 10_000:
+            labs = label_duplicates(inst)
+            at = 0
+            for aid, lab in got:
+                want = next(islice(labs, aid - at, None)).b_owners
+                at = aid + 1
+                assert np.array_equal(lab.b_owners, want)
+                assert np.array_equal(want, _nth_labeling_owners(inst, aid))
+        else:   # K4's 39,813,120 labelings: unranked, not walked
+            for aid, lab in got:
+                assert np.array_equal(lab.b_owners, _nth_labeling_owners(inst, aid))
+
+
+def test_solve_streams_the_classes_of_one_group():
+    # pieces 1000, 1, 1000, 2, ..., 1000, 9 with a B cut after each 1000
+    # and an A cut after each short piece but the last: the nine 1000s
+    # form one group whose 9! bijections are each their own class, and
+    # the first class lays out the map
+    cuts_a, cuts_b, at = [], [], 0
+    for i in range(9):
+        cuts_b.append(at + 1000)
+        at += 1000 + i + 1
+        cuts_a.append(at)
+    inst = instance_from_cuts(CutModel(at, tuple(cuts_a[:-1]), tuple(cuts_b)))[0]
+    assert [len(c) for c, _ in _labeling_plan(inst)[1]] == [9]
+    tracemalloc.start()
+    try:
+        res = solve(inst, max_assignments=None, first_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res) == 1 and res.assignments_tried == 1
+    assert peak < 5 * 2**20, peak
 
 
 def test_assignment_cap_memory_stays_small():

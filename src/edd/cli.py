@@ -189,6 +189,12 @@ def _family_notation(fam: SolutionFamily, values: list) -> str:
     return " ".join(_BRACKET_CODES[code].tolist()) % tuple(values)
 
 
+def _printable(number: int) -> bool:
+    """Whether ``int`` may print ``number`` (``sys.get_int_max_str_digits()``, 0 for no limit)."""
+    digits = sys.get_int_max_str_digits()   # 2**(3 * digits) < 10**digits: no power for most
+    return not digits or number.bit_length() <= 3 * digits or number < 10 ** digits
+
+
 def _printable_count(fam: SolutionFamily, log10: float) -> int | None:
     """The family's exact expansion count, or None when it has more
     digits than ``int`` may print (``sys.get_int_max_str_digits()``).
@@ -198,7 +204,7 @@ def _printable_count(fam: SolutionFamily, log10: float) -> int | None:
     if digits and log10 >= digits + 1:
         return None
     count = fam.expansion_count
-    return count if not digits or count < 10 ** digits else None
+    return count if _printable(count) else None
 
 
 def _layout_tokens(inst: EddInstance, pi_a: np.ndarray, pi_b: np.ndarray,
@@ -339,6 +345,7 @@ def cmd_solve(args, out: _Output) -> int:
     fam_payload = []
     show = not out.quiet   # --quiet builds no family or layout text
     for idx, (aid, fam) in enumerate(result):
+        aid = aid if _printable(aid) else format(aid, "#x")   # hexadecimal has no digit limit
         out.line(f"assignment: {aid}")
         values = (fam.c_value_array().tolist()
                   if show and (out.as_json or args.emit_families) else None)

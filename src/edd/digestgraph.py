@@ -158,10 +158,10 @@ def check_structure(g: LabeledInstance) -> StructureVerdict:
     anchor = np.arange(nn, dtype=np.int64)
     at_u, at_w = leaf[u], leaf[w]
     for ends, other, at in ((u, w, at_u), (w, u, at_w)):
-        k = np.flatnonzero(at)
+        k = at.nonzero()[0]
         anchor[ends[k]] = other[k]
     leafy = at_u | at_w
-    inner = np.flatnonzero(~leafy)   # the stripped graph's C-edges
+    inner = (~leafy).nonzero()[0]   # the stripped graph's C-edges
     m = len(inner)
     tail = np.concatenate((u[inner], w[inner]))
     head = np.concatenate((w[inner], u[inner]))
@@ -182,7 +182,7 @@ def check_structure(g: LabeledInstance) -> StructureVerdict:
 
     if m:
         # the walk's first arrival at an end of the path starts its one pass along it
-        start = int(np.argmax(degree[head[walk]] == 1))
+        start = int((degree[head[walk]] == 1).argmax())
         window = walk[start:start + m + 1]
         spine, links = head[window], inner[window[1:] % m]
     else:   # a star: the stripped graph is its centre
@@ -192,21 +192,21 @@ def check_structure(g: LabeledInstance) -> StructureVerdict:
     place[spine] = np.arange(m + 1)
     # start at the end farther from the smallest leaf; on a tie, at the
     # end whose smallest leaf is the larger (the second diameter pass's end)
-    twice = 2 * int(place[anchor[np.argmax(leaf)]])   # twice the smallest leaf's place
+    twice = 2 * int(place[anchor[leaf.argmax()]])   # twice the smallest leaf's place
     if twice > m or (twice == m and _end_leaf(leaf, anchor, spine[0])
                   < _end_leaf(leaf, anchor, spine[-1])):
         spine, links = spine[::-1], links[::-1]
         place[spine] = np.arange(m + 1)
-    pend_c = np.flatnonzero(leafy)
+    pend_c = leafy.nonzero()[0]
     pend_pos = place[anchor[u[pend_c]]]
-    by_pos = np.argsort(pend_pos * n + g.rank[pend_c])
+    by_pos = (pend_pos * n + g.rank[pend_c]).argsort()
     return StructureVerdict(True, None, _TreePayload(False, spine, links, pend_c[by_pos],
                                                      pend_pos[by_pos]))
 
 
 def _end_leaf(leaf: np.ndarray, anchor: np.ndarray, end: int) -> int:
     """The smallest leaf hanging from ``end``."""
-    return int(np.argmax(leaf & (anchor == end)))
+    return int((leaf & (anchor == end)).argmax())
 
 
 def _deep_subtree(g: LabeledInstance, depth_seq, first_at, leaf) -> StructureVerdict:
@@ -232,13 +232,13 @@ def _deep_subtree(g: LabeledInstance, depth_seq, first_at, leaf) -> StructureVer
         dist[x] = 0
         return dist
 
-    start = int(np.argmax(leaf))
-    e1 = int(np.argmax(dist_from(start)))
+    start = int(leaf.argmax())
+    e1 = int(dist_from(start).argmax())
     d_e1 = dist_from(e1)
-    e2 = int(np.argmax(d_e1))
+    e2 = int(d_e1.argmax())
     on_diam = dist_from(e2) + d_e1 == int(d_e1[e2])
     on_u, on_w = on_diam[u], on_diam[w]
-    hanging = np.flatnonzero(on_u ^ on_w)
+    hanging = (on_u ^ on_w).nonzero()[0]
     tip = np.where(on_u[hanging], w[hanging], u[hanging])
     witness = NodeRef("C", int(hanging[~leaf[tip]][0]))   # the smallest deep hanging edge
     return StructureVerdict(True, StructureViolation(DEEP_SUBTREE, (witness,)), None)
@@ -252,9 +252,9 @@ def _tour_places(walk: np.ndarray, head: np.ndarray, anchor: np.ndarray):
     walked_at = np.empty(2 * m, np.int64)
     walked_at[walk] = np.arange(2 * m)
     down = np.arange(2 * m) < walked_at[np.where(walk < m, walk + m, walk - m)]
-    depth_seq = np.concatenate(([0], np.cumsum(np.where(down, 1, -1))))
+    depth_seq = np.concatenate(([0], np.where(down, 1, -1).cumsum()))
     first = np.zeros(len(anchor), np.int64)
-    first[head[walk[down]]] = np.flatnonzero(down) + 1
+    first[head[walk[down]]] = down.nonzero()[0] + 1
     return depth_seq, first[anchor]
 
 
@@ -274,27 +274,27 @@ def _face_walk(tail: np.ndarray, root: int) -> np.ndarray:
     """
     m = len(tail)
     # work on slots: darts sorted by tail, so a node's darts are adjacent
-    by_tail = np.argsort(tail, kind="stable")
+    by_tail = tail.argsort(kind="stable")
     sorted_tail = tail[by_tail]
-    s0 = int(np.searchsorted(sorted_tail, root))
+    s0 = int(sorted_tail.searchsorted(root))
     if s0 == m or sorted_tail[s0] != root:
         return np.empty(0, np.int64)
     # each slot turns to the next around its node, a node's last to its first
-    last = np.flatnonzero(sorted_tail[1:] != sorted_tail[:-1])
+    last = (sorted_tail[1:] != sorted_tail[:-1]).nonzero()[0]
     del sorted_tail
     turn = np.arange(1, m + 1)
-    turn[np.append(last, m - 1)] = np.concatenate(([0], last + 1))
+    turn[np.concatenate((last, [m - 1]))] = np.concatenate(([0], last + 1))
     slot = np.empty(m, np.int64)
     slot[by_tail] = np.arange(m)
-    succ = np.append(turn[slot[(by_tail + m // 2) % m]], m)
+    succ = np.concatenate((turn[slot[(by_tail + m // 2) % m]], [m]))
     del slot, turn  # peak memory: ranking holds four arrays of this size
     succ[succ == s0] = m  # cut the walk just before it returns to its first dart
     rank = np.ones(m + 1, np.int64)
     rank[m] = 0
     for _ in range(m.bit_length()):
-        rank += np.take(rank, succ)
-        succ = np.take(succ, succ)
-    walked = np.flatnonzero(succ[:m] == m)
+        rank += rank.take(succ)
+        succ = succ.take(succ)
+    walked = (succ[:m] == m).nonzero()[0]
     length = rank[s0]
     out = np.empty(length, np.int64)
     out[length - rank[walked]] = by_tail[walked]
@@ -334,7 +334,7 @@ def _off_tree_violation(g: LabeledInstance, walk, tail, head, inner, anchor,
     entry_edge = np.where(entry < m, entry, entry - m)
     pare[nodes] = inner[entry_edge]
     walked[entry_edge] = False
-    k = int(np.argmax(walked))
+    k = int(walked.argmax())
     return StructureViolation(HAS_CYCLE, _extract_cycle(
         g, par.tolist(), pare.tolist(), int(tail[k]), int(head[k]), int(inner[k])))
 

@@ -107,7 +107,7 @@ class EddInstance:
         against [1, 2^63 - 1]."""
         ab, ba = _grouped(ab_values, ab_owner, len(a)), _grouped(ba_values, ba_owner, len(b))
         for vals in (a, b, ab[0], ba[0]):
-            if len(vals) and (vals.dtype == object or vals.min() < 1):
+            if (vals.dtype == object and len(vals)) or np.count_nonzero(vals < 1):
                 bad = vals[(vals < 1) | (vals > MAX_LENGTH)][0]
                 raise ValueError(f"length {bad} outside [1, 2^63 - 1]")
         inst = cls.__new__(cls)
@@ -198,7 +198,7 @@ def _rank(values: np.ndarray) -> np.ndarray:
         return np.arange(0)
     shift = (int(values.max()) // (MAX_LENGTH // n)).bit_length()
     order = np.sort((values >> shift) * n + np.arange(n)) % n
-    if not shift or (np.diff(values[order]) >= 0).all():
+    if not shift or ((sv := values[order])[1:] >= sv[:-1]).all():
         return order
     order = np.argsort(values)
     sv = values[order]
@@ -379,9 +379,9 @@ _SENTINEL_BYTES = 6
 
 
 def _read_plain(text: str | bytearray):
-    """(lengths, sizes, index, tags, p, q) of a document in plain shape
-    (see ``parse_instance``), read in whole-buffer passes; None for any
-    other document.
+    """(lengths, sizes, index, tags, p, q, ordered) of a document in plain
+    shape (see ``parse_instance``), read in whole-buffer passes, ``ordered``
+    when its lines come in ``serialize_instance``'s order; None otherwise.
 
     A ``str`` is read from an ASCII copy; a bytearray in place, with no
     copy when it has ``_SENTINEL_BYTES`` to spare, and ``_unmark`` puts its
@@ -415,12 +415,14 @@ def _read_plain(text: str | bytearray):
     if kinds[:2] != [1, 1] or tags[0] != 0 or tags[1] != 1 or not sizes[0] or not sizes[1]:
         return _unmark(text, cut, size, parts)
     p, q = int(sizes[0]), int(sizes[1])
-    for tag, count in ((2, p), (3, q)):
+    ordered = kinds[2:] == [p, q] and not np.count_nonzero(tags[2:p + 2] != 2) + np.count_nonzero(
+        index[2:p + 2] != np.arange(1, p + 1)) + np.count_nonzero(index[p + 2:] != np.arange(1, q + 1))
+    for tag, count in () if ordered else ((2, p), (3, q)):   # the order implies these checks
         got = index[tags == tag]
         if (kinds[tag] != count or got.min() < 1 or got.max() > count
                 or np.bincount(got).max() > 1):
             return _unmark(text, cut, size, parts)
-    return values, sizes, index, tags, p, q
+    return values, sizes, index, tags, p, q, ordered
 
 
 def _cpus() -> int:
@@ -493,10 +495,10 @@ def _read_part(view: np.ndarray):
     """
     scratch = np.empty(len(view), dtype=bool)   # the one temporary of the whole-part passes
     newline = np.equal(view, ord("\n"), out=scratch)
-    starts = np.flatnonzero(newline)[:-1] + 1   # the last newline is the sentinel's
+    starts = newline.nonzero()[0][:-1] + 1   # the last newline is the sentinel's
     tags = _KIND_OF[view[starts], view[starts + 1]]
     indexed = tags >= 2
-    if (tags < 0).any() or (view[starts[indexed] + 2] != ord(" ")).any():
+    if np.count_nonzero(tags < 0) or np.count_nonzero(view[starts[indexed] + 2] != ord(" ")):
         return None
     view[starts] = ord("0")
     view[starts[indexed] + 1] = ord(" ")
@@ -507,16 +509,15 @@ def _read_part(view: np.ndarray):
         return _put_kinds(view, starts, tags)
     del scratch, newline, digit
     values = np.fromstring(view, dtype=np.int64, sep=" ")
-    marks = np.flatnonzero(values == 0)
-    if len(marks) != len(starts) + 1 or (values == MAX_LENGTH).any():
+    marks = (values == 0).nonzero()[0]
+    if len(marks) != len(starts) + 1 or np.count_nonzero(values == MAX_LENGTH):
         return _put_kinds(view, starts, tags)
     at = marks[:-1][indexed] + 1   # where each AB and BA index is
     index = np.zeros(len(tags), dtype=np.int64)
     index[indexed] = values[at]
     keep = np.ones(len(values), dtype=bool)
-    keep[marks] = False
-    keep[at] = False
-    return values[keep], np.diff(marks) - 1 - indexed, index, tags
+    keep[marks] = keep[at] = False
+    return values[keep], marks[1:] - marks[:-1] - 1 - indexed, index, tags
 
 
 _LEADS = np.frombuffer(b"ABAB", dtype=np.uint8)   # by tag; tag ^ 1 gives AB's and BA's second
@@ -610,7 +611,7 @@ def _read_exact(text: str):
             missing = next(i for i in range(1, want + 1) if i not in seen[tag - 2])
             raise ParseError(line_no, f"missing {_KINDS[tag]} line for index {missing}")
     return (np.array(values, dtype=np.int64), np.array(sizes, dtype=np.int64),
-            np.array(index, dtype=np.int64), np.array(tags, dtype=np.int8), p, q)
+            np.array(index, dtype=np.int64), np.array(tags, dtype=np.int8), p, q, False)
 
 
 def _index(kind: str, tok: str, limit: int | None, seen: set, line_no: int) -> int:
@@ -642,23 +643,22 @@ def _length(tok: str, line_no: int) -> int:
 
 
 def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np.ndarray,
-              p: int, q: int) -> EddInstance:
+              p: int, q: int, ordered: bool) -> EddInstance:
     """The instance of the lines read: their lengths in file order, their
     length counts, indices and kinds.
 
-    When the lines come as ``serialize_instance`` writes them (A, B, then
-    AB and BA in index order), each side is a slice of ``values``;
-    otherwise each length finds its side and owner through per-length
-    kind and index arrays."""
-    if len(tags) == p + q + 2 and (tags[:2] == (0, 1)).all() and (tags[2:p + 2] == 2).all() \
-            and (tags[p + 2:] == 3).all() and (index[2:p + 2] == np.arange(1, p + 1)).all() \
-            and (index[p + 2:] == np.arange(1, q + 1)).all():
-        a, b, ab, ba = np.split(values, np.cumsum(sizes)[[0, 1, p + 1]])
-        ab_owner = np.repeat(np.arange(p, dtype=np.int64), sizes[2:p + 2])
-        ba_owner = np.repeat(np.arange(q, dtype=np.int64), sizes[p + 2:])
+    When the lines are ``ordered`` (A, B, then AB and BA in index order;
+    ``_read_exact``, slower by far than either path, never says so), each
+    side is a slice of ``values``; otherwise each length finds its side
+    and owner through per-length kind and index arrays."""
+    if ordered:
+        split = p + q + int(sizes[2:p + 2].sum())   # where the BA lengths start
+        a, b, ab, ba = values[:p], values[p:p + q], values[p + q:split], values[split:]
+        ab_owner = np.arange(p, dtype=np.int64).repeat(sizes[2:p + 2])
+        ba_owner = np.arange(q, dtype=np.int64).repeat(sizes[p + 2:])
     else:
-        kinds = np.repeat(tags, sizes)
-        owner = np.repeat(index - 1, sizes)
+        kinds = tags.repeat(sizes)
+        owner = (index - 1).repeat(sizes)
         is_ab, is_ba = kinds == 2, kinds == 3
         a, b, ab, ba = values[kinds == 0], values[kinds == 1], values[is_ab], values[is_ba]
         ab_owner, ba_owner = owner[is_ab], owner[is_ba]
@@ -667,12 +667,12 @@ def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np
 
 def _grouped(values: np.ndarray, owner: np.ndarray, count: int):
     """(values, owner, offsets) sorted by (owner, value), owners 0..count-1."""
-    if len(values) > 1 and not np.all((owner[1:] > owner[:-1]) | (
-            (owner[1:] == owner[:-1]) & (values[1:] >= values[:-1]))):
-        order = np.argsort(values)
-        order = order[np.argsort(owner[order], kind="stable")]
+    if len(values) > 1 and np.count_nonzero((owner[1:] < owner[:-1]) | (
+            (owner[1:] == owner[:-1]) & (values[1:] < values[:-1]))):
+        order = values.argsort()
+        order = order[owner[order].argsort(kind="stable")]
         values, owner = values[order], owner[order]
-    return values, owner, np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=count))))
+    return values, owner, np.concatenate(([0], np.bincount(owner, minlength=count).cumsum()))
 
 
 _LINE_CODES = np.array([" %d", "\nAB %d", "\nBA %d"], dtype=object)   # a value, a line head
@@ -704,16 +704,16 @@ def serialize_instance(inst: EddInstance) -> str:
 
 def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     # cumsum-diff handles empty segments; callers re-check near-overflow data.
-    csum = np.concatenate(([0], np.cumsum(values)))
+    csum = np.concatenate(([0], values.cumsum()))
     return csum[offsets[1:]] - csum[offsets[:-1]]
 
 
 def _check_sums(lengths: np.ndarray, values, offsets, rule, label, violations):
     sums = _segment_sums(values, offsets)
-    bad = np.flatnonzero(sums != lengths)
-    if len(values) and int(values.max()) * int(np.diff(offsets).max()) >= 2**63:
+    bad = (sums != lengths).nonzero()[0]
+    if len(values) and int(values.max()) * int((offsets[1:] - offsets[:-1]).max()) >= 2**63:
         # some segment's sum may wrap in int64; redo exactly in Python.
-        exact = [sum(seg.tolist()) for seg in np.split(values, offsets[1:-1])]
+        exact = list(map(sum, _unflatten(values, offsets)))
         bad = np.flatnonzero(np.fromiter((e != w for e, w in zip(exact, lengths.tolist())),
                                          dtype=bool, count=len(lengths)))
         sums = exact
@@ -741,8 +741,8 @@ def validate_consistency(inst: EddInstance) -> ConsistencyReport:
     else:
         order_a, order_b = inst._ranked
         sa, sb = fa[order_a], fb[order_b]
-        if not np.array_equal(sa, sb):
-            k = int(np.flatnonzero(sa != sb)[0])
+        if (sa != sb).any():
+            k = int((sa != sb).argmax())
             violations.append(ConsistencyViolation(
                 UNION_MISMATCH,
                 f"multisets differ at sorted position {k}: {int(sa[k])} vs {int(sb[k])}"))
@@ -770,12 +770,12 @@ def _copy_numbers(values: np.ndarray, order: np.ndarray):
     position) order of ``values``, from ``_rank`` or ``_ranked``."""
     n = len(values)
     sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    sizes = np.diff(np.append(starts, n))
+    starts = np.concatenate(([True], sv[1:] != sv[:-1])).nonzero()[0]
+    sizes = np.concatenate((starts[1:], [n])) - starts
     if len(starts) == n:   # no value repeats, so every copy is the first
         return np.ones(n, dtype=np.int64), sv, starts, sizes
     copy_ids = np.empty(n, dtype=np.int64)
-    copy_ids[order] = np.arange(1, n + 1, dtype=np.int64) - np.repeat(starts, sizes)
+    copy_ids[order] = np.arange(1, n + 1, dtype=np.int64) - starts.repeat(sizes)
     return copy_ids, sv, starts, sizes
 
 
@@ -787,7 +787,7 @@ def _labeling_plan(inst: EddInstance) -> tuple[LabeledInstance, list]:
     fa, oa, _, fb, ob, _ = inst._flats()
     order_a, order_b = inst._ranked
     copy_ids, sv, starts, sizes = _copy_numbers(fa, order_a)
-    if not np.array_equal(sv, fb[order_b]):
+    if len(sv) != len(fb) or (sv != fb[order_b]).any():
         raise ValueError("inconsistent instance: AB and BA multisets differ")
     n = len(fa)
     rank = np.empty(n, dtype=np.int64)
@@ -796,7 +796,7 @@ def _labeling_plan(inst: EddInstance) -> tuple[LabeledInstance, list]:
     b_owners[order_a] = ob[order_b]
 
     groups: list[tuple[list[int], list[int]]] = []
-    for g in np.flatnonzero(sizes > 1).tolist():
+    for g in (sizes > 1).nonzero()[0].tolist():
         s, m = int(starts[g]), int(sizes[g])
         groups.append((order_a[s:s + m].tolist(), ob[order_b[s:s + m]].tolist()))
     return LabeledInstance(inst, fa, oa, b_owners, copy_ids, rank), groups
@@ -876,12 +876,18 @@ def _distinct_matchings(a_labels, b_labels) -> Iterator[tuple[int, int, tuple[in
     ascending by that slot, and bans for later positions with its AB-side
     label the labels tried before at t (swapping them would give a
     smaller bijection of the same class).  Ranks accumulate by Horner's
-    rule over the free slots below each pick.
+    rule over the free slots below each pick.  A pick that leaves fewer
+    free slots outside the ban than later positions with t's AB-side
+    label has no completion; as the ban only grows, neither has any
+    later pick at t, so t's loop ends there.
     """
     m = len(a_labels)
     slots: dict = {}   # BA-side label -> its free slots, descending
+    later, seen = [0] * m, {}   # later[t]: the positions after t with t's AB-side label
     for s in range(m - 1, -1, -1):
         slots.setdefault(b_labels[s], []).append(s)
+        later[s] = seen.get(a_labels[s], 0)
+        seen[a_labels[s]] = later[s] + 1
     heads = sorted((ss[-1], label) for label, ss in slots.items())   # (smallest free slot, label)
     free = list(range(m))
     banned = {a: set() for a in a_labels}   # AB-side label -> BA-side labels it may not take
@@ -890,6 +896,8 @@ def _distinct_matchings(a_labels, b_labels) -> Iterator[tuple[int, int, tuple[in
     def picks(t: int, rank: int):
         """Take in turn each label position t may take; yield each pick's rank so far."""
         ban = banned[a_labels[t]]
+        need = later[t]
+        blocked = sum(len(slots[label]) for label in ban) if need else 0   # free slots the ban holds
         tried = []
         i = 0
         while i < len(heads):
@@ -897,6 +905,8 @@ def _distinct_matchings(a_labels, b_labels) -> Iterator[tuple[int, int, tuple[in
             if label in ban:
                 i += 1
                 continue
+            if need and len(free) - 1 - blocked < need:
+                break
             below = bisect_left(free, s)
             del free[below], heads[i]
             own = slots[label]
@@ -911,6 +921,7 @@ def _distinct_matchings(a_labels, b_labels) -> Iterator[tuple[int, int, tuple[in
             heads.insert(i, (s, label))
             free.insert(below, s)
             ban.add(label)
+            blocked += len(own)
             tried.append(label)
             i += 1
         ban.difference_update(tried)

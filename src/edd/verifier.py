@@ -54,13 +54,13 @@ class OracleCapExceeded(RuntimeError):
 
 
 def _is_permutation(idx: np.ndarray, count: int) -> bool:
-    """True when ``idx`` holds each of 0..count-1 exactly once: a range
-    check and one count per index, in linear time."""
+    """True when ``idx`` holds each of 0..count-1 exactly once: its count
+    entries lie in range and reach every index, in linear time."""
     if idx.shape != (count,) or not count:
         return idx.shape == (count,)
-    if idx.min() < 0 or idx.max() >= count:
+    if np.count_nonzero((idx < 0) | (idx >= count)):
         return False
-    return bool((np.bincount(idx.astype(np.intp, copy=False), minlength=count) == 1).all())
+    return np.count_nonzero(np.bincount(idx.astype(np.intp, copy=False), minlength=count)) == count
 
 
 def _check_permutation(seq, count, name) -> np.ndarray:
@@ -83,24 +83,24 @@ def _cut_arrays(pa, pb, inst: EddInstance):
     pa, pb = np.asarray(pa), np.asarray(pb)
     a_len, b_len = inst._length_arrays()
     a, b = a_len[pa], b_len[pb]
-    a_prefix, b_prefix = np.cumsum(a), np.cumsum(b)
+    a_prefix, b_prefix = a.cumsum(), b.cumsum()
     # lengths are below 2^63, so a total past int64 wraps some prefix below 0
-    if a_prefix.min() < 0 or b_prefix.min() < 0:
-        a_prefix, b_prefix = np.cumsum(a.astype(object)), np.cumsum(b.astype(object))
+    if np.count_nonzero(a_prefix < 0) or np.count_nonzero(b_prefix < 0):
+        a_prefix, b_prefix = a.astype(object).cumsum(), b.astype(object).cumsum()
     if a_prefix[-1] != b_prefix[-1]:
         raise SumMismatch(int(a_prefix[-1]), int(b_prefix[-1]))
     a_cuts, b_cuts = a_prefix[:-1], b_prefix[:-1]
     bounds = np.concatenate(([0], a_cuts, b_cuts, a_prefix[-1:]))
     # two ascending runs, 0 and the A cuts, then the B cuts and the total:
     # a stable argsort merges them in linear time
-    order = np.argsort(bounds, kind="stable")
+    order = bounds.argsort(kind="stable")
     bounds = bounds[order]
     # each digest's cuts rise strictly inside (0, total): a repeat is a shared cut
-    shared = np.flatnonzero(bounds[1:] == bounds[:-1])
+    shared = (bounds[1:] == bounds[:-1]).nonzero()[0]
     if len(shared):
         raise CoincidentCut(int(bounds[shared[0]]))
-    # every piece but the first starts at a cut; count the A cuts up to each start
-    a_count = np.cumsum((order[:-1] >= 1) & (order[:-1] <= len(a_cuts)))
+    # each piece starts at a cut but the first, at 0 (order[0]); count the A cuts up to each start
+    a_count = (order[:-1] <= len(a_cuts)).cumsum() - 1
     a_index = pa[a_count]
     b_index = pb[np.arange(len(a_count)) - a_count]
     return a_prefix, b_prefix, bounds, a_index, b_index
@@ -146,30 +146,30 @@ def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> V
     except LayoutError as err:
         return VerifyResult(False, err.rule)
     # a piece is no longer than the fragments holding it, so lengths fit int64
-    pieces = np.diff(bounds).astype(np.int64)
+    pieces = (bounds[1:] - bounds[:-1]).astype(np.int64, copy=False)
     fa, oa, _, fb, ob, _ = inst._flats()
     by_length = _rank(pieces)
     order_a, order_b = inst._ranked
     lengths = pieces[by_length]
-    if not np.array_equal(lengths, fa[order_a]):   # False too when the sizes differ
+    if len(lengths) != len(fa) or np.count_nonzero(lengths != fa[order_a]):
         return VerifyResult(False, "piece multiset differs from C")
     got_a, got_b = a_index[by_length], b_index[by_length]
-    same = lengths[1:] == lengths[:-1]
-    if same.any():   # put the pieces' owners in order within each run of equal lengths
-        tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
-        run = np.cumsum(np.insert(~same, 0, True))[tied]
+    same = np.concatenate(([False], lengths[1:] == lengths[:-1], [False]))
+    if np.count_nonzero(same):   # put the pieces' owners in order within each run of equal lengths
+        tied = (same[1:] | same[:-1]).nonzero()[0]
+        run = (~same[:-1]).cumsum()[tied]
         for got, count in ((got_a, inst.p), (got_b, inst.q)):
-            got[tied] = np.sort(run * count + got[tied]) - run * count
+            got[tied] = np.sort(run * count + got[tied]) % count
     for name, got, want in (("AB", got_a, oa[order_a]), ("BA", got_b, ob[order_b])):
-        if name == "BA" and not np.array_equal(lengths, fb[order_b]):
+        if name == "BA" and (len(fb) != len(lengths) or np.count_nonzero(lengths != fb[order_b])):
             # the BA side is not C: line the pieces up with it by (owner, length)
             values, got, _ = _grouped(lengths, got, inst.q)
             m = min(len(got), len(fb))
-            k = np.flatnonzero(np.append((got[:m] != ob[:m]) | (values[:m] != fb[:m]), True))[0]
+            k = np.concatenate(((got[:m] != ob[:m]) | (values[:m] != fb[:m]), [True])).argmax()
             bad = min(got[k:k + 1].tolist() + ob[k:k + 1].tolist())   # k = m: one list ended
         else:
             differ = got != want
-            bad = int(np.minimum(got, want)[differ].min()) if differ.any() else None
+            bad = int(np.minimum(got, want)[differ].min()) if np.count_nonzero(differ) else None
         if bad is not None:
             return VerifyResult(False, f"{name}_{bad + 1} mismatch")
     return VerifyResult(True)
@@ -177,7 +177,7 @@ def verify_permutation(inst: EddInstance, pa, pb, *, checked: bool = False) -> V
 
 def _solution_from_layout(inst: EddInstance, pa, pb) -> Solution:
     _, _, bounds, a_index, b_index = _cut_arrays(pa, pb, inst)
-    pieces = np.diff(bounds).astype(np.int64)
+    pieces = (bounds[1:] - bounds[:-1]).astype(np.int64, copy=False)
     return Solution(tuple(pa), tuple(pb), CPermutation.along_line(pieces, a_index, b_index))
 
 

@@ -92,6 +92,27 @@ def two_block_instance() -> EddInstance:
     )
 
 
+def shared_label_instance(k: int, mirror: bool = False) -> EddInstance:
+    """"leafA k", or "mirror k" with the digests swapped: k spine fragments
+    [s_i, 1000, t_i] against [s_0], k single-piece [1000] fragments, the
+    links [t_i, s_(i+1)] and [t_(k-1)], with s_i = 10,000 + 2i and
+    t_i = s_i + 1 but t_0 = t_2 = 7.  The links [t_0, s_1] and [t_2, s_3]
+    swap places, so the identity class of the 7s closes a cycle and the
+    other one solves.  In leafA the k copies of 1000 on the A side share
+    one label, as each lies in a single-piece fragment; the map has one
+    family, whose id is 1 * k!."""
+    s = [10_000 + 2 * i for i in range(k)]
+    t = [v + 1 for v in s]
+    t[0] = t[2] = 7
+    spine = [[s[i], 1000, t[i]] for i in range(k)]
+    links = [[t[i], s[i + 1]] for i in range(k - 1)]
+    links[0], links[2] = links[2], links[0]
+    other = [[s[0]], *[[1000]] * k, *links, [t[k - 1]]]
+    a, b = (spine, other) if mirror else (other, spine)
+    return EddInstance(tuple(map(sum, a)), tuple(map(sum, b)),
+                       tuple(tuple(sorted(f)) for f in a), tuple(tuple(sorted(f)) for f in b))
+
+
 def expanded_solutions(fam, max_expansions: int = DEFAULT_MAX_EXPANSIONS):
     """Each layout of ``expand_family(fam)`` as a Solution, the form the
     oracle's layouts and ``canonical_key`` take."""

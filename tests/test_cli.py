@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from edd.generator import random_instance
 from edd.instance import EddInstance, ParseError, parse_instance, serialize_instance
 from edd.reduction import MAX_REDUCTION_NODES
 
-from conftest import DEMO_TEXT, deep_subtree_instance, dup_instance
+from conftest import DEMO_TEXT, deep_subtree_instance, dup_instance, shared_label_instance
 from test_format_sweeps import NEAR_PLAIN, _byte_edit, _sweep_documents
 
 
@@ -141,6 +142,40 @@ def test_solve_unsolvable_reason(capsys, tmp_path):
     assert lines[0] == "status: no-solution"
     assert lines[1] == "reason: DEEP_SUBTREE"
     assert lines[2].startswith("witness: C")
+
+
+def _timed_solve(capsys, tmp_path, inst, *flags):
+    path = tmp_path / "map.edd"
+    path.write_text(serialize_instance(inst))
+    start = time.perf_counter()
+    code, out = run(capsys, "solve", str(path), *flags)
+    return code, out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_solve_one_shared_label_in_time(capsys, tmp_path, k):
+    # the k copies of 1000 share one AB-side label; the 7s' second class solves
+    code, out, seconds = _timed_solve(capsys, tmp_path, shared_label_instance(k))
+    assert code == 0 and f"assignment: {math.factorial(k)}" in out.splitlines()
+    assert seconds < 1, seconds
+
+
+def test_solve_ids_past_the_digit_limit_print_in_hexadecimal(capsys, tmp_path):
+    # 2000! has 5,736 digits, past the 4,300 that int may print by default
+    want = format(math.factorial(2000), "#x")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, seconds = _timed_solve(capsys, tmp_path, shared_label_instance(2000))
+        assert code == 0 and f"assignment: {want}" in out.splitlines()
+        assert seconds < 2, seconds
+        mirror = shared_label_instance(2000, mirror=True)
+        code, out, _ = _timed_solve(capsys, tmp_path, mirror)
+        assert code == 0 and f"assignment: {want}" in out.splitlines()
+        code, out, _ = _timed_solve(capsys, tmp_path, mirror, "--json")
+        assert code == 0 and [f["assignment"] for f in json.loads(out)["families"]] == [want]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_solve_truncation_exit_3(capsys, dup_file):

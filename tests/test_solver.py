@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from itertools import islice, permutations, product
@@ -16,6 +17,7 @@ from edd.generator import CutModel, InfeasibleParams, instance_from_cuts, random
 from edd.instance import (
     AssignmentCapExceeded,
     EddInstance,
+    _distinct_matchings,
     _labeling_plan,
     count_assignments,
     label_duplicates,
@@ -590,6 +592,15 @@ def _nth_labeling_owners(inst, aid):
         b_own[cpos] = [owners[s] for s in perm]
     assert aid == 0
     return b_own
+
+
+def test_one_shared_label_yields_its_one_class_fast():
+    # every AB-side copy has one label and every BA-side slot its own: one
+    # class, found with no search through the other labels at each depth
+    start = time.perf_counter()
+    records = list(_distinct_matchings([-1] * 2000, list(range(2000))))
+    assert time.perf_counter() - start < 0.1
+    assert records == [(0, 0, tuple(range(2000)))]
 
 
 def test_distinct_labeling_ids_index_label_duplicates():

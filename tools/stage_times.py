@@ -19,13 +19,14 @@ maps, written there by this checkout's generator:
 
 for N = 10**4, 10**5 and 10**6 fragments, and ``layouts``, the
 27-fragment map ``perfbench/workloads.layout_map(7, 0)`` of the
-all-layouts cut pattern, with 8,640 distinct layouts.  Each free and
-nomap map also gets the generator's truth as an orders file, its ``PA``
-and ``PB`` lines (the nomap map's truth being free's).  Each of five
-runs measures each map on both sides, the parent first in runs 1, 3
-and 5 and the change first in runs 2 and 4, since the core speed of a
-shared machine drifts; each stage and e2e row keeps its runs, their
-median and their min.  A side is measured in two child processes:
+all-layouts cut pattern, with 8,640 distinct layouts.  Each free,
+nomap and layouts map also gets the generator's truth as an orders
+file, its ``PA`` and ``PB`` lines (the nomap map's truth being
+free's).  Each of five runs measures each map on both sides, the
+parent first in runs 1, 3 and 5 and the change first in runs 2 and 4,
+since the core speed of a shared machine drifts; each stage and e2e
+row keeps its runs, their median and their min.  A side is measured
+in two child processes:
 
 - stages, all in one process: read the file and ``parse_instance`` it
   as ``cli._load_instance`` does (``cli._read_file`` into a bytearray),
@@ -188,8 +189,10 @@ import sys
 from edd.instance import serialize_instance
 from workloads import layout_map
 
-inst, _truth = layout_map(7, 0)
+inst, truth = layout_map(7, 0)
 open(sys.argv[1], "w", encoding="utf-8").write(serialize_instance(inst))
+open(sys.argv[2], "w", encoding="utf-8").write(
+    f"PA {' '.join(map(str, truth.pa))}\nPB {' '.join(map(str, truth.pb))}\n")
 '''
 
 
@@ -208,9 +211,9 @@ def write_maps(into: Path) -> dict:
             maps[f"{kind}_{label}"] = (into / f"{kind}_{label}.edd", spec, REPS[label], [],
                                        orders if orders.exists() else None)
             log(f"wrote {kind}_{label}.edd")
-    path = into / "layouts.edd"
-    subprocess.run([sys.executable, "-c", LAYOUT_CODE, str(path)], env=env, check=True)
-    maps["layouts"] = (path, "perfbench/workloads.layout_map(7, 0)", 5, ["--all"], None)
+    path, orders = into / "layouts.edd", into / "layouts.orders"
+    subprocess.run([sys.executable, "-c", LAYOUT_CODE, str(path), str(orders)], env=env, check=True)
+    maps["layouts"] = (path, "perfbench/workloads.layout_map(7, 0)", 5, ["--all"], orders)
     log("wrote layouts.edd")
     return maps
 

@@ -93,8 +93,12 @@ def random_instance(seed: int, p: int, q: int, total_length: int, *,
     """
     if p < 1 or q < 1:
         raise InfeasibleParams("p and q must be at least 1")
+    if total_length < 1:
+        raise InfeasibleParams("total_length must be positive")
     if total_length > MAX_LENGTH:
         raise InfeasibleParams(f"total length {total_length} exceeds 2^63 - 1")
+    if min_duplicates < 0:
+        raise InfeasibleParams(f"min_duplicates must be at least 0, got {min_duplicates}")
     if duplicate_free and min_duplicates:
         raise InfeasibleParams("duplicate_free contradicts min_duplicates")
     k = p + q - 2

@@ -335,17 +335,19 @@ def parse_instance(text: str | bytearray) -> EddInstance:
 
     A document in plain shape, as ``serialize_instance`` writes it, is
     read in a fixed number of whole-buffer passes, with no Python loop
-    over its lines (``_read_plain``).  Plain shape is ``EDD 1`` and a
-    newline, then the A line, the B line and the AB and BA lines, each
-    line starting with its kind and a space, and no byte other than
-    digits, spaces, newlines and the letters A and B.  Any other
-    document is first normalised (``_read_lines``): a copy with each
-    line's tokens joined by one space, comments and blank lines dropped,
-    goes through the same whole-buffer passes.  Only a document that
-    this copy cannot take exactly is read line by line with ``int()``
-    per token (``_read_exact``), the one reader that holds every rule
-    and message, so the same results and the same ParseErrors come out
-    either way: the first bad line, its line number and message.
+    over its lines (``_read_plain``), and each of A, B, AB and BA is one
+    slice of the numbers read.  Plain shape is ``EDD 1`` and a newline,
+    then the A line, the B line, the AB lines in index order and the BA
+    lines in index order, each line starting with its kind and a space,
+    and no byte other than digits, spaces, newlines and the letters A
+    and B.  Any other document is first normalised (``_read_lines``): a
+    copy with each line's tokens joined by one space, comments and blank
+    lines dropped, goes through the same whole-buffer passes.  Only a
+    document whose copy is not in plain shape (lines in another order,
+    a stray sign, a value at or past 2^63 - 1) is read line by line with
+    ``int()`` per token (``_read_exact``), the one reader that holds
+    every rule and message, so the same results and the same ParseErrors
+    come out either way: the first bad line, its line number and message.
 
     A plain document of at least 512 KiB (``_TWO_PARTS``) is read as two
     line-aligned parts at once, the second in a thread that is joined
@@ -360,8 +362,8 @@ def parse_instance(text: str | bytearray) -> EddInstance:
     not in plain shape gets its bytes back and is decoded as UTF-8 for
     ``_read_lines``.
     """
-    return _assemble(*(_read_plain(text) or _read_lines(
-        text if isinstance(text, str) else text.decode("utf-8"))))
+    return _read_plain(text) or _read_lines(
+        text if isinstance(text, str) else text.decode("utf-8"))
 
 
 _KINDS = ("A", "B", "AB", "BA")
@@ -378,10 +380,9 @@ _TWO_PARTS = 512 * 1024
 _SENTINEL_BYTES = 6
 
 
-def _read_plain(text: str | bytearray):
-    """(lengths, sizes, index, tags, p, q, ordered) of a document in plain
-    shape (see ``parse_instance``), read in whole-buffer passes, ``ordered``
-    when its lines come in ``serialize_instance``'s order; None otherwise.
+def _read_plain(text: str | bytearray) -> EddInstance | None:
+    """The instance of a document in plain shape (see ``parse_instance``),
+    read in whole-buffer passes; None for any other document.
 
     A ``str`` is read from an ASCII copy; a bytearray in place, with no
     copy when it has ``_SENTINEL_BYTES`` to spare, and ``_unmark`` puts its
@@ -391,9 +392,8 @@ def _read_plain(text: str | bytearray):
     process may run on two CPUs or more, is cut at the first newline
     after its middle into two parts, which ``_read_parts`` reads at the
     same time.  The line sizes, indices and kinds of the parts are then
-    joined, and the checks that span the whole document run once: the A
-    and B lines come first, each AB and BA index is in range and read
-    once, and neither A nor B is empty.
+    joined, and the order of the lines is checked once: A, B, then AB 1
+    to p and BA 1 to q, with neither A nor B empty.
 
     A second thread costs about 0.4 ms in start-up and GIL hand-offs, so
     small documents take one part: in alternating parses of big-map
@@ -411,18 +411,18 @@ def _read_plain(text: str | bytearray):
     if None in parts:
         return _unmark(text, cut, size, parts)
     values, sizes, index, tags = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    kinds = np.bincount(tags, minlength=len(_KINDS)).tolist()
-    if kinds[:2] != [1, 1] or tags[0] != 0 or tags[1] != 1 or not sizes[0] or not sizes[1]:
+    p, q = (int(sizes[0]), int(sizes[1])) if len(sizes) > 1 else (0, 0)
+    if (not p or not q or len(tags) != p + q + 2 or tags[0] != 0 or tags[1] != 1
+            or np.count_nonzero(tags[2:p + 2] != 2) + np.count_nonzero(tags[p + 2:] != 3)
+            + np.count_nonzero(index[2:p + 2] != np.arange(1, p + 1))
+            + np.count_nonzero(index[p + 2:] != np.arange(1, q + 1))):
         return _unmark(text, cut, size, parts)
-    p, q = int(sizes[0]), int(sizes[1])
-    ordered = kinds[2:] == [p, q] and not np.count_nonzero(tags[2:p + 2] != 2) + np.count_nonzero(
-        index[2:p + 2] != np.arange(1, p + 1)) + np.count_nonzero(index[p + 2:] != np.arange(1, q + 1))
-    for tag, count in () if ordered else ((2, p), (3, q)):   # the order implies these checks
-        got = index[tags == tag]
-        if (kinds[tag] != count or got.min() < 1 or got.max() > count
-                or np.bincount(got).max() > 1):
-            return _unmark(text, cut, size, parts)
-    return values, sizes, index, tags, p, q, ordered
+    del parts   # the halves of a two-part read, joined above
+    split = p + q + int(sizes[2:p + 2].sum())   # where the BA lengths start
+    return EddInstance._from_arrays(
+        values[:p], values[p:p + q],
+        values[p + q:split], np.arange(p, dtype=np.int64).repeat(sizes[2:p + 2]),
+        values[split:], np.arange(q, dtype=np.int64).repeat(sizes[p + 2:]))
 
 
 def _cpus() -> int:
@@ -547,27 +547,24 @@ def _unmark(buf: bytearray, cut: int, size: int, parts: list) -> None:
     del buf[size:]
 
 
-def _read_lines(text: str):
-    """What ``_read_plain`` returns, for a document not in plain shape.
+def _read_lines(text: str) -> EddInstance:
+    """The instance of a document not in plain shape.
 
     The document is only normalised: each line's tokens joined by one
     space, comments and blank lines dropped.  The copy goes to
-    ``_read_plain``; a document it cannot take exactly is read again by
-    ``_read_exact``, which also raises the first bad line's error.
+    ``_read_plain``; a document whose copy is not in plain shape is read
+    again by ``_read_exact``, which also raises the first bad line's error.
     """
     lines = (line.split("#", 1)[0].split() for line in text.splitlines())
     kept = [" ".join(tokens) for tokens in lines if tokens]
     return _read_plain("\n".join(kept) + "\n") or _read_exact(text)
 
 
-def _read_exact(text: str):
-    """What ``_read_plain`` returns, for any document, read in one pass
-    over its lines with ``int()`` per token; raises the ParseError of the
+def _read_exact(text: str) -> EddInstance:
+    """The instance of any document, read in one pass over its lines
+    with ``int()`` per token, in any order; raises the ParseError of the
     first bad line.  Every rule of the grammar and every message is here."""
-    values: list[int] = []
-    sizes, index, tags = [], [], []
-    limits: list = [None, None]   # length counts of the A and B lines
-    seen: tuple[set, set] = (set(), set())
+    lines: list = [None, None, {}, {}]   # by tag: the A and B lengths, {index: lengths} of AB and BA
     header_seen = False
     line_no = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -583,50 +580,46 @@ def _read_exact(text: str):
         tag = _TAGS.get(kind)
         if tag is None:
             raise ParseError(line_no, f"unknown line kind {kind!r}")
-        idx = 0
         if tag >= 2:
             if len(tokens) < 2:
                 raise ParseError(line_no, f"{kind} line needs an index")
-            idx = _index(kind, tokens[1], limits[tag - 2], seen[tag - 2], line_no)
-        elif limits[tag] is not None:
+            idx = _index(kind, tokens[1], lines[tag - 2], lines[tag], line_no)
+        elif lines[tag] is not None:
             raise ParseError(line_no, f"duplicate {kind} line")
         lengths = [_length(tok, line_no) for tok in tokens[1 + (tag >= 2):]]
-        if tag < 2:
-            if not lengths:
-                raise ParseError(line_no, f"{kind} line needs at least one length")
-            limits[tag] = len(lengths)
-        values += lengths
-        sizes.append(len(lengths))
-        index.append(idx)
-        tags.append(tag)
+        if tag >= 2:
+            lines[tag][idx] = lengths
+        elif lengths:
+            lines[tag] = lengths
+        else:
+            raise ParseError(line_no, f"{kind} line needs at least one length")
     if not header_seen:
         raise ParseError(line_no or 1, "missing 'EDD 1' header")
-    p, q = limits
-    if p is None:
+    a, b, ab, ba = lines
+    if a is None:
         raise ParseError(line_no, "missing A line")
-    if q is None:
+    if b is None:
         raise ParseError(line_no, "missing B line")
-    for tag, want in ((2, p), (3, q)):
-        if len(seen[tag - 2]) < want:
-            missing = next(i for i in range(1, want + 1) if i not in seen[tag - 2])
-            raise ParseError(line_no, f"missing {_KINDS[tag]} line for index {missing}")
-    return (np.array(values, dtype=np.int64), np.array(sizes, dtype=np.int64),
-            np.array(index, dtype=np.int64), np.array(tags, dtype=np.int8), p, q, False)
+    for kind, sets, count in (("AB", ab, len(a)), ("BA", ba, len(b))):
+        if len(sets) < count:
+            missing = next(i for i in range(1, count + 1) if i not in sets)
+            raise ParseError(line_no, f"missing {kind} line for index {missing}")
+    return EddInstance(a, b, map(ab.get, range(1, len(a) + 1)), map(ba.get, range(1, len(b) + 1)))
 
 
-def _index(kind: str, tok: str, limit: int | None, seen: set, line_no: int) -> int:
-    """The index of an AB or BA line, checked against the lines before."""
+def _index(kind: str, tok: str, lengths: list | None, seen: dict, line_no: int) -> int:
+    """The index of an AB or BA line, checked against the A or B line's
+    ``lengths`` and the indices ``seen`` before."""
     try:
         idx = int(tok)
     except ValueError:
         raise ParseError(line_no, f"invalid {kind} index {tok!r}") from None
-    if limit is None:
+    if lengths is None:
         raise ParseError(line_no, f"{kind} line before {kind[0]} line")
-    if not 1 <= idx <= limit:
-        raise ParseError(line_no, f"{kind} index {idx} out of range 1..{limit}")
+    if not 1 <= idx <= len(lengths):
+        raise ParseError(line_no, f"{kind} index {idx} out of range 1..{len(lengths)}")
     if idx in seen:
         raise ParseError(line_no, f"duplicate {kind} line for index {idx}")
-    seen.add(idx)
     return idx
 
 
@@ -640,29 +633,6 @@ def _length(tok: str, line_no: int) -> int:
     if v > MAX_LENGTH:
         raise ParseError(line_no, f"length {v} exceeds 63-bit range")
     return v
-
-
-def _assemble(values: np.ndarray, sizes: np.ndarray, index: np.ndarray, tags: np.ndarray,
-              p: int, q: int, ordered: bool) -> EddInstance:
-    """The instance of the lines read: their lengths in file order, their
-    length counts, indices and kinds.
-
-    When the lines are ``ordered`` (A, B, then AB and BA in index order;
-    ``_read_exact``, slower by far than either path, never says so), each
-    side is a slice of ``values``; otherwise each length finds its side
-    and owner through per-length kind and index arrays."""
-    if ordered:
-        split = p + q + int(sizes[2:p + 2].sum())   # where the BA lengths start
-        a, b, ab, ba = values[:p], values[p:p + q], values[p + q:split], values[split:]
-        ab_owner = np.arange(p, dtype=np.int64).repeat(sizes[2:p + 2])
-        ba_owner = np.arange(q, dtype=np.int64).repeat(sizes[p + 2:])
-    else:
-        kinds = tags.repeat(sizes)
-        owner = (index - 1).repeat(sizes)
-        is_ab, is_ba = kinds == 2, kinds == 3
-        a, b, ab, ba = values[kinds == 0], values[kinds == 1], values[is_ab], values[is_ba]
-        ab_owner, ba_owner = owner[is_ab], owner[is_ba]
-    return EddInstance._from_arrays(a, b, ab, ab_owner, ba, ba_owner)
 
 
 def _grouped(values: np.ndarray, owner: np.ndarray, count: int):

@@ -397,6 +397,8 @@ def expand_family(fam: SolutionFamily,
     interchangeable: taking each block through the distinct orders of
     its values (a multiset) gives each distinct layout exactly once,
     where it first comes in ``itertools.product`` order."""
+    if max_expansions < 0:
+        raise ValueError(f"max_expansions must be at least 0, got {max_expansions}")
     return FamilyExpansion(fam, max_expansions)
 
 

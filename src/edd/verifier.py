@@ -6,8 +6,12 @@ overlap sub-fragments, and checks them against the cross-digest data --
 the defining test of a valid layout.  It returns a verdict; the plotted
 pieces are not kept as objects.  The exhaustive solver tries every
 permutation pair and keeps what passes; it exists to witness the fast
-solver's answers and deliberately shares none of its machinery (only
-the plain Solution containers and the orientation key are imported).
+solver's answers and shares none of its search (only the Solution
+container and the orientation key come from the solver).  It does
+share the instance's sorting: ``_rank`` orders the pieces, the
+instance's ``_ranked`` and ``_grouped`` its flats, and pieces come out
+as a ``CPermutation``; ``test_rank_matches_stable_argsort`` checks that
+ranking against numpy's stable argsort.
 """
 
 from __future__ import annotations

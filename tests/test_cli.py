@@ -522,6 +522,24 @@ def test_reduce_hp_output_parses(capsys, tmp_path):
     assert inst.a_lengths == (14, 14, 14, 7)
 
 
+def test_reduce_hp_output_skips_the_exact_reader(capsys, tmp_path, monkeypatch):
+    """With its ``# node`` comments dropped, a reduce-hp file is in
+    serialize order, so the normalised copy takes the whole-buffer reader."""
+    gpath = tmp_path / "path.graph"
+    gpath.write_text("GRAPH 40\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 40)))
+    out_file = tmp_path / "red.edd"
+    assert run(capsys, "reduce-hp", str(gpath), "--out", str(out_file)) == (0, "")
+    text = out_file.read_text()
+    want = parse_instance("".join(line for line in text.splitlines(True) if line[0] != "#"))
+
+    def exact(text):
+        raise AssertionError("reduce-hp output read token by token")
+
+    monkeypatch.setattr(instance, "_read_exact", exact)
+    assert "# node" in text
+    assert cli._load_instance(str(out_file)) == want and parse_instance(text) == want
+
+
 def test_reduce_hp_quiet_builds_no_text(capsys, tmp_path, monkeypatch):
     gpath = tmp_path / "edge.graph"
     gpath.write_text("GRAPH 2\n1 2\n")
@@ -885,3 +903,8 @@ def test_gen_refuses_more_duplicates_than_pieces_allow(capsys):
     assert _usage_error(capsys, "gen", "--total", "5", "--seed", "3", "--p", "2", "--q", "2",
                         "--min-duplicates", "99") == \
         "error: min_duplicates 99 exceeds n - 1 = 2 (n = p + q - 1 pieces)\n"
+
+
+def test_gen_refuses_a_non_positive_total(capsys):
+    assert _usage_error(capsys, "gen", "--total", "-5", "--seed", "1", "--p", "1", "--q", "1") \
+        == "error: total_length must be positive\n"

@@ -573,6 +573,36 @@ def test_worker_error_reaches_the_caller(monkeypatch, started, big_text):
     assert len(started) == 1 and threading.active_count() == before
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+def test_out_of_order_document_reads_exactly(monkeypatch, started, big_text, parts):
+    """The 1 MB map with its BA block before its AB block and its AB
+    lines reversed, as text and as bytes, is turned down by the
+    whole-buffer reader, in one part or cut in two, and read by the
+    exact reader to the instance of the map in serialize order."""
+    if parts == 2:
+        monkeypatch.setattr(instance, "_TWO_PARTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+    want = parse_instance(big_text)
+    lines = big_text.splitlines(True)
+    p = lines[1].count(" ")
+    text = "".join(lines[:3] + lines[3 + p:] + lines[2 + p:2:-1])
+    read_exact, exact = instance._read_exact, []
+
+    def spy(doc):
+        exact.append(doc)
+        return read_exact(doc)
+
+    monkeypatch.setattr(instance, "_read_exact", spy)
+    started.clear()
+    for doc in (text, bytearray(text, "ascii")):
+        exact.clear()
+        got = parse_instance(doc)
+        assert got == want and len(exact) == 1
+        for mine, ref in zip(got._flats(), want._flats()):
+            assert np.array_equal(mine, ref)
+    assert bool(started) == (parts == 2)
+
+
 def test_first_part_error_joins_the_worker(monkeypatch, big_text):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     full = np.fromstring

@@ -120,6 +120,11 @@ def test_infeasible_params():
      "5 distinct piece lengths need a line of n(n+1)/2 = 15"),
     ((1, 100_001, 99_999, 4 * 10**13), {"duplicate_free": True},
      "199999 pieces on a length-40000000000000 line expect n^3/(4 total) = 50.0 repeats"),
+    ((1, 1, 1, -5), {}, "total_length must be positive"),
+    ((1, 1, 1, 0), {}, "total_length must be positive"),
+    ((1, 3, 3, 100), {"min_duplicates": -1}, "min_duplicates must be at least 0, got -1"),
+    ((1, 3, 3, 100), {"min_duplicates": -1, "duplicate_free": True},
+     "min_duplicates must be at least 0, got -1"),
 ])
 def test_hopeless_profiles_refused_before_any_draw(monkeypatch, args, kwargs, message):
     import edd.generator as generator

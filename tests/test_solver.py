@@ -441,6 +441,13 @@ def test_solve_rejects_non_positive_assignment_cap():
             solve(demo_instance(), max_assignments=cap)
 
 
+def test_expand_family_rejects_a_negative_cap():
+    fam = solve(demo_instance())[0][1]
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match=f"^max_expansions must be at least 0, got {cap}$"):
+            expand_family(fam, max_expansions=cap)
+
+
 def test_solve_reads_labels_from_the_flats(monkeypatch, tmp_path):
     # the tuple views are for the API edge: solving a parsed instance with
     # repeated lengths never builds them, nor do solve, verify, gen and
